@@ -33,6 +33,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -242,6 +243,68 @@ def _decay(lam, t: float):
     return np.exp(-t / lam)
 
 
+def _gap_stats(lam: np.ndarray, gap: np.ndarray) -> tuple[float, float, float]:
+    """(min_gap, max_gap, worst_lambda) of one swept curve."""
+    return float(gap.min()), float(gap.max()), float(lam[int(np.argmin(gap))])
+
+
+def _sweep_bound(check: str, params: list, lam_step: float, t_scale: float,
+                 grid: dict, curve, ok_key: str | None = None) -> BoundReport:
+    """Sweep one bound over its parameters and aggregate a BoundReport.
+
+    curve(param, t_scale, lam_step) returns (lam, gap, row) for one curve;
+    row is its detail dict and carries min_gap and max_gap. certified also
+    requires row[ok_key] on every curve when ok_key is given. grid holds the
+    check's own grid entries; the step and scale are added here.
+    """
+    lam_step = _validated_step(lam_step)
+    t_scale = _validated_scale(t_scale)
+    detail = []
+    touch = []
+    for param in params:
+        lam, gap, row = curve(param, t_scale, lam_step)
+        touch.extend(_local_minima(lam, gap))
+        detail.append(row)
+    min_gap = min((row["min_gap"] for row in detail), default=math.inf)
+    max_gap = max((row["max_gap"] for row in detail), default=-math.inf)
+    passed = min_gap >= -BOUND_TOL
+    certified = passed and (ok_key is None or all(row[ok_key] for row in detail))
+    grid = {**grid, "lambda_step": lam_step, "t_scale": t_scale}
+    return BoundReport(check, grid, min_gap, max_gap, touch, passed, certified, detail)
+
+
+def _maxexp_curve(eta: float, t_scale: float, lam_step: float):
+    t_eff = t_of_eta(eta) / t_scale
+    if not t_eff < 1.0:
+        raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
+    eps1, eps2 = bound_gaps(eta)
+    lam = _grid_open(t_eff, 1.0, lam_step)
+    gap = _saturation(lam, eta) - _decay(lam, t_eff)
+    w_hi = 1.0 / (eta + 1.0)
+    window = [float(_saturation(t_eff, eta) - _decay(t_eff, t_eff))]
+    if t_eff < w_hi:
+        window.append(float(_saturation(w_hi, eta) - _decay(w_hi, t_eff)))
+        window.extend(gap[lam <= w_hi].tolist())
+    window_max = max(window)
+    beyond_min = None
+    if eta.is_integer():
+        lam_b = _grid_open(1.0, 10.0, 1e-2)
+        beyond_min = float((_saturation(lam_b, eta) - _decay(lam_b, t_eff)).min())
+    curve_min, curve_max, worst = _gap_stats(lam, gap)
+    return lam, gap, {
+        "eta": eta,
+        "t": t_eff,
+        "min_gap": curve_min,
+        "max_gap": curve_max,
+        "window_max_gap": window_max,
+        "eps1": eps1,
+        "eps2": eps2,
+        "window_ok": window_max <= eps2 + EPS2_SLACK,
+        "worst_lambda": worst,
+        "beyond_one_min_gap": beyond_min,
+    }
+
+
 def verify_maxexp_bound(etas=None, lam_step: float = DEFAULT_LAM_STEP,
                         t_scale: float = 1.0) -> BoundReport:
     """Certify saturation >= decay on (t(eta), 1] per eta.
@@ -256,57 +319,30 @@ def verify_maxexp_bound(etas=None, lam_step: float = DEFAULT_LAM_STEP,
     if etas is None:
         etas = tuple(range(1, 65))
     etas = [float(e) for e in etas]
-    lam_step = _validated_step(lam_step)
-    t_scale = _validated_scale(t_scale)
-    detail = []
-    touch = []
-    min_gap = math.inf
-    max_gap = -math.inf
-    for eta in etas:
-        t_true = t_of_eta(eta)
-        t_eff = t_true / t_scale
-        if not t_eff < 1.0:
-            raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
-        eps1, eps2 = bound_gaps(eta)
-        lam = _grid_open(t_eff, 1.0, lam_step)
-        gap = _saturation(lam, eta) - _decay(lam, t_eff)
-        w_hi = 1.0 / (eta + 1.0)
-        window = [float(_saturation(t_eff, eta) - _decay(t_eff, t_eff))]
-        if t_eff < w_hi:
-            window.append(float(_saturation(w_hi, eta) - _decay(w_hi, t_eff)))
-            window.extend(gap[lam <= w_hi].tolist())
-        window_max = max(window)
-        curve_min = float(gap.min())
-        curve_max = float(gap.max())
-        beyond_min = None
-        if eta.is_integer():
-            lam_b = _grid_open(1.0, 10.0, 1e-2)
-            beyond_min = float((_saturation(lam_b, eta) - _decay(lam_b, t_eff)).min())
-        touch.extend(_local_minima(lam, gap))
-        min_gap = min(min_gap, curve_min)
-        max_gap = max(max_gap, curve_max)
-        detail.append({
-            "eta": eta,
-            "t": t_eff,
-            "min_gap": curve_min,
-            "max_gap": curve_max,
-            "window_max_gap": window_max,
-            "eps1": eps1,
-            "eps2": eps2,
-            "window_ok": window_max <= eps2 + EPS2_SLACK,
-            "worst_lambda": float(lam[int(np.argmin(gap))]),
-            "beyond_one_min_gap": beyond_min,
-        })
-    passed = min_gap >= -BOUND_TOL
-    certified = passed and all(row["window_ok"] for row in detail)
-    grid = {
-        "etas": etas,
-        "lambda_step": lam_step,
-        "lambda_domain": "(t(eta), 1]",
-        "t_scale": t_scale,
+    grid = {"etas": etas, "lambda_domain": "(t(eta), 1]"}
+    return _sweep_bound("maxexp_bound", etas, lam_step, t_scale, grid,
+                        _maxexp_curve, "window_ok")
+
+
+def _gamma_curve(t: float, t_scale: float, lam_step: float):
+    gamma = gamma_of_t(t)
+    if gamma > 1.0:
+        raise DomainError(f"t = {t} maps to exponent {gamma} > 1")
+    t_eff = t / t_scale
+    lam = _grid_open(0.0, 1.0, lam_step)
+    lam = np.unique(np.append(lam, 1.0 / E))
+    gap = _power(lam, gamma) - _decay(lam, t_eff)
+    tangency = abs(float(_power(1.0 / E, gamma) - _decay(1.0 / E, t_eff)))
+    curve_min, curve_max, worst = _gap_stats(lam, gap)
+    return lam, gap, {
+        "t": t_eff,
+        "gamma": gamma,
+        "min_gap": curve_min,
+        "max_gap": curve_max,
+        "tangency_gap": tangency,
+        "tangency_ok": tangency < 1e-9,
+        "worst_lambda": worst,
     }
-    return BoundReport("maxexp_bound", grid, min_gap, max_gap, touch, passed,
-                       certified, detail)
 
 
 def verify_gamma_bound(ts=None, lam_step: float = DEFAULT_LAM_STEP,
@@ -319,45 +355,33 @@ def verify_gamma_bound(ts=None, lam_step: float = DEFAULT_LAM_STEP,
     if ts is None:
         ts = (0.05, 0.1, 0.2, 1.0 / E)
     ts = [float(t) for t in ts]
-    lam_step = _validated_step(lam_step)
-    t_scale = _validated_scale(t_scale)
-    detail = []
-    touch = []
-    min_gap = math.inf
-    max_gap = -math.inf
-    for t in ts:
-        gamma = gamma_of_t(t)
-        if gamma > 1.0:
-            raise DomainError(f"t = {t} maps to exponent {gamma} > 1")
-        t_eff = t / t_scale
-        lam = _grid_open(0.0, 1.0, lam_step)
+    grid = {"ts": ts, "lambda_domain": "(0, 1]"}
+    return _sweep_bound("gamma_bound", ts, lam_step, t_scale, grid,
+                        _gamma_curve, "tangency_ok")
+
+
+def _combined_curve(t: float, t_scale: float, lam_step: float):
+    eta = eta_of_t_exact(t)
+    gamma = gamma_of_t(t)
+    if gamma > 1.0:
+        raise DomainError(f"t = {t} maps to exponent {gamma} > 1")
+    t_eff = t / t_scale
+    if not t_eff < 1.0:
+        raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
+    lam = _grid_open(t_eff, 1.0, lam_step)
+    if t_eff < 1.0 / E:
         lam = np.unique(np.append(lam, 1.0 / E))
-        gap = _power(lam, gamma) - _decay(lam, t_eff)
-        tangency = abs(float(_power(1.0 / E, gamma) - _decay(1.0 / E, t_eff)))
-        curve_min = float(gap.min())
-        curve_max = float(gap.max())
-        touch.extend(_local_minima(lam, gap))
-        min_gap = min(min_gap, curve_min)
-        max_gap = max(max_gap, curve_max)
-        detail.append({
-            "t": t_eff,
-            "gamma": gamma,
-            "min_gap": curve_min,
-            "max_gap": curve_max,
-            "tangency_gap": tangency,
-            "tangency_ok": tangency < 1e-9,
-            "worst_lambda": float(lam[int(np.argmin(gap))]),
-        })
-    passed = min_gap >= -BOUND_TOL
-    certified = passed and all(row["tangency_ok"] for row in detail)
-    grid = {
-        "ts": ts,
-        "lambda_step": lam_step,
-        "lambda_domain": "(0, 1]",
-        "t_scale": t_scale,
+    envelope = np.minimum(_saturation(lam, eta), _power(lam, gamma))
+    gap = envelope - _decay(lam, t_eff)
+    curve_min, curve_max, worst = _gap_stats(lam, gap)
+    return lam, gap, {
+        "t": t_eff,
+        "eta": eta,
+        "gamma": gamma,
+        "min_gap": curve_min,
+        "max_gap": curve_max,
+        "worst_lambda": worst,
     }
-    return BoundReport("gamma_bound", grid, min_gap, max_gap, touch, passed,
-                       certified, detail)
 
 
 def verify_combined_bound(ts=None, lam_step: float = DEFAULT_LAM_STEP,
@@ -370,62 +394,8 @@ def verify_combined_bound(ts=None, lam_step: float = DEFAULT_LAM_STEP,
     if ts is None:
         ts = (0.05, 0.1, 0.2, 0.3, 1.0 / E)
     ts = [float(t) for t in ts]
-    lam_step = _validated_step(lam_step)
-    t_scale = _validated_scale(t_scale)
-    detail = []
-    touch = []
-    min_gap = math.inf
-    max_gap = -math.inf
-    for t in ts:
-        eta = eta_of_t_exact(t)
-        gamma = gamma_of_t(t)
-        if gamma > 1.0:
-            raise DomainError(f"t = {t} maps to exponent {gamma} > 1")
-        t_eff = t / t_scale
-        if not t_eff < 1.0:
-            raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
-        lam = _grid_open(t_eff, 1.0, lam_step)
-        if t_eff < 1.0 / E:
-            lam = np.unique(np.append(lam, 1.0 / E))
-        envelope = np.minimum(_saturation(lam, eta), _power(lam, gamma))
-        gap = envelope - _decay(lam, t_eff)
-        curve_min = float(gap.min())
-        curve_max = float(gap.max())
-        touch.extend(_local_minima(lam, gap))
-        min_gap = min(min_gap, curve_min)
-        max_gap = max(max_gap, curve_max)
-        detail.append({
-            "t": t_eff,
-            "eta": eta,
-            "gamma": gamma,
-            "min_gap": curve_min,
-            "max_gap": curve_max,
-            "worst_lambda": float(lam[int(np.argmin(gap))]),
-        })
-    passed = min_gap >= -BOUND_TOL
-    grid = {
-        "ts": ts,
-        "lambda_step": lam_step,
-        "lambda_domain": "(t, 1]",
-        "t_scale": t_scale,
-    }
-    return BoundReport("combined_bound", grid, min_gap, max_gap, touch, passed,
-                       passed, detail)
-
-
-@dataclass(frozen=True)
-class OdeState:
-    """A point on a saturation trajectory: eigenvalue, time, heat quantity."""
-
-    lam: float
-    t: float
-    psi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise DomainError(f"time must be positive, got {self.t}")
-        if not -1e-12 <= self.psi <= 1.0 + 1e-12:
-            raise DomainError(f"heat quantity must lie in [0, 1], got {self.psi}")
+    grid = {"ts": ts, "lambda_domain": "(t, 1]"}
+    return _sweep_bound("combined_bound", ts, lam_step, t_scale, grid, _combined_curve)
 
 
 def ode_residual_maxexp(lam: float, t: float, h: float = 1e-6,
@@ -455,10 +425,9 @@ def ode_residual_maxexp(lam: float, t: float, h: float = 1e-6,
     psi_m = 1.0 - math.exp(eta_m * base)
     psi_0 = 1.0 - math.exp(eta_0 * base)
     psi_p = 1.0 - math.exp(eta_p * base)
-    state = OdeState(lam, t, psi_0)
     dpsi = (psi_p - psi_m) / (2.0 * h)
     deta = (eta_p - eta_m) / (2.0 * h)
-    return abs(dpsi + coeff_scale * base * deta * (1.0 - state.psi))
+    return abs(dpsi + coeff_scale * base * deta * (1.0 - psi_0))
 
 
 def ode_residual_gamma(lam_l: float, t: float, coeff_scale: float = 1.0) -> float:
@@ -478,6 +447,34 @@ def ode_residual_gamma(lam_l: float, t: float, coeff_scale: float = 1.0) -> floa
     return abs(dpsi + coeff_scale * E * math.log(lam_l) * psi)
 
 
+def _sweep_ode(check: str, key: str, xs, ts, residual, tolerance: float,
+               params: dict) -> dict:
+    """Evaluate residual(x, t) over the xs-by-ts grid; pass below tolerance.
+
+    Rows and the worst point name the eigenvalue coordinate key; params are
+    the settings the report echoes next to the check name.
+    """
+    rows = []
+    worst = (None, None)
+    max_residual = -math.inf
+    for x in xs:
+        for t in ts:
+            r = residual(float(x), float(t))
+            rows.append({key: float(x), "t": float(t), "residual": r})
+            if r > max_residual:
+                max_residual = r
+                worst = (float(x), float(t))
+    return {
+        "check": check,
+        **params,
+        "tolerance": tolerance,
+        "max_residual": max_residual,
+        "worst": {key: worst[0], "t": worst[1]},
+        "pass": max_residual < tolerance,
+        "rows": rows,
+    }
+
+
 def verify_maxexp_ode(lams=None, ts=None, h: float = 1e-6,
                       coeff_scale: float = 1.0) -> dict:
     """Sweep ode_residual_maxexp over a (lambda, t) grid; tolerance 1e-8."""
@@ -485,26 +482,9 @@ def verify_maxexp_ode(lams=None, ts=None, h: float = 1e-6,
         lams = np.round(np.arange(1, 20) * 0.05, 10)
     if ts is None:
         ts = np.round(0.05 + 0.03 * np.arange(11), 10)
-    rows = []
-    worst = (None, None)
-    max_residual = -math.inf
-    for lam in lams:
-        for t in ts:
-            r = ode_residual_maxexp(float(lam), float(t), h=h, coeff_scale=coeff_scale)
-            rows.append({"lambda": float(lam), "t": float(t), "residual": r})
-            if r > max_residual:
-                max_residual = r
-                worst = (float(lam), float(t))
-    return {
-        "check": "maxexp_ode",
-        "h": float(h),
-        "coeff_scale": float(coeff_scale),
-        "tolerance": 1e-8,
-        "max_residual": max_residual,
-        "worst": {"lambda": worst[0], "t": worst[1]},
-        "pass": max_residual < 1e-8,
-        "rows": rows,
-    }
+    residual = partial(ode_residual_maxexp, h=h, coeff_scale=coeff_scale)
+    return _sweep_ode("maxexp_ode", "lambda", lams, ts, residual, 1e-8,
+                      {"h": float(h), "coeff_scale": float(coeff_scale)})
 
 
 def verify_gamma_ode(lam_ls=None, ts=None, coeff_scale: float = 1.0) -> dict:
@@ -513,25 +493,9 @@ def verify_gamma_ode(lam_ls=None, ts=None, coeff_scale: float = 1.0) -> dict:
         lam_ls = np.round(0.5 + 0.25 * np.arange(15), 10)
     if ts is None:
         ts = np.round(0.05 * np.arange(1, 21), 10)
-    rows = []
-    worst = (None, None)
-    max_residual = -math.inf
-    for lam_l in lam_ls:
-        for t in ts:
-            r = ode_residual_gamma(float(lam_l), float(t), coeff_scale=coeff_scale)
-            rows.append({"lambda_L": float(lam_l), "t": float(t), "residual": r})
-            if r > max_residual:
-                max_residual = r
-                worst = (float(lam_l), float(t))
-    return {
-        "check": "gamma_ode",
-        "coeff_scale": float(coeff_scale),
-        "tolerance": 1e-12,
-        "max_residual": max_residual,
-        "worst": {"lambda_L": worst[0], "t": worst[1]},
-        "pass": max_residual < 1e-12,
-        "rows": rows,
-    }
+    residual = partial(ode_residual_gamma, coeff_scale=coeff_scale)
+    return _sweep_ode("gamma_ode", "lambda_L", lam_ls, ts, residual, 1e-12,
+                      {"coeff_scale": float(coeff_scale)})
 
 
 def ode_report_json(report: dict) -> str:

@@ -139,6 +139,8 @@ def cmd_epn(args) -> int:
         out = spectral.epn_matrix(t.data, spec, normalize=args.normalize)
         io.write_tensor(args.out, tensor.DenseTensor(out))
     elif t.order == 3:
+        if args.normalize:
+            raise InputError("--normalize applies to order-2 input only")
         factors = hosvd.hosvd_supersym(t)
         normalized = hosvd.apply_epn_core(factors, spec)
         io.write_tensor(args.out, hosvd.reconstruct(normalized))
@@ -151,52 +153,40 @@ def cmd_epn(args) -> int:
 def cmd_distance(args) -> int:
     a = io.read_tensor(args.a)
     b = io.read_tensor(args.b)
-    # both metrics are the Frobenius distance; "tpe" names its use on
-    # spectrally normalized tensors
     value = hosvd.tpe_distance(a, b)
     print(f"{value:.12g}")
     return 0
 
 
-def _emit_bound_report(report, out_prefix) -> None:
-    print(analysis.report_json(report))
-    if out_prefix:
-        _write_text(f"{out_prefix}.json", analysis.report_json(report))
-        header, rows = analysis.report_csv_rows(report)
-        _write_csv(f"{out_prefix}.csv", header, rows)
+def _emit_report(text: str, rows: list, out_prefix) -> None:
+    """Print a report's JSON; with a prefix also write it and its rows as CSV.
 
-
-def _emit_ode_report(report, out_prefix) -> None:
-    print(analysis.ode_report_json(report))
+    The CSV columns follow the key order of the row dicts.
+    """
+    print(text)
     if out_prefix:
-        _write_text(f"{out_prefix}.json", analysis.ode_report_json(report))
-        rows = report["rows"]
-        header = list(rows[0].keys())
+        _write_text(f"{out_prefix}.json", text)
+        header = list(rows[0].keys()) if rows else []
         _write_csv(f"{out_prefix}.csv", header, [[r[k] for k in header] for r in rows])
 
 
 def cmd_verify(args) -> int:
     which = args.theorem
-    if which == "2":
-        etas = range(1, args.eta_max + 1)
-        report = analysis.verify_maxexp_bound(etas, args.lam_step, args.t_scale)
-        _emit_bound_report(report, args.out)
+    if which in ("2", "3", "combined"):
+        sweep, params = {
+            "2": (analysis.verify_maxexp_bound, range(1, args.eta_max + 1)),
+            "3": (analysis.verify_gamma_bound, None),
+            "combined": (analysis.verify_combined_bound, None),
+        }[which]
+        report = sweep(params, args.lam_step, args.t_scale)
+        _emit_report(analysis.report_json(report), report.detail, args.out)
         return 0 if report.certified else 1
-    if which == "3":
-        report = analysis.verify_gamma_bound(None, args.lam_step, args.t_scale)
-        _emit_bound_report(report, args.out)
-        return 0 if report.certified else 1
-    if which == "combined":
-        report = analysis.verify_combined_bound(None, args.lam_step, args.t_scale)
-        _emit_bound_report(report, args.out)
-        return 0 if report.certified else 1
-    if which == "4":
-        report = analysis.verify_maxexp_ode(h=args.h, coeff_scale=args.t_scale)
-        _emit_ode_report(report, args.out)
-        return 0 if report["pass"] else 1
-    if which == "5":
-        report = analysis.verify_gamma_ode(coeff_scale=args.t_scale)
-        _emit_ode_report(report, args.out)
+    if which in ("4", "5"):
+        if which == "4":
+            report = analysis.verify_maxexp_ode(h=args.h, coeff_scale=args.t_scale)
+        else:
+            report = analysis.verify_gamma_ode(coeff_scale=args.t_scale)
+        _emit_report(analysis.ode_report_json(report), report["rows"], args.out)
         return 0 if report["pass"] else 1
     # gaps
     eps1, eps2 = analysis.bound_gaps(args.eta)
@@ -212,6 +202,11 @@ def _draw_spd(rng, d: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     lam = np.sort(rng.uniform(0.2, 0.95, size=d))[::-1]
     return (q * lam) @ q.T
+
+
+def _rel_err(analytic, numeric) -> float:
+    """Relative error |analytic - numeric| / |numeric| in the Frobenius norm."""
+    return float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300))
 
 
 def _gradcheck_matrix(args, runner) -> dict:
@@ -233,9 +228,7 @@ def _run_eig_value(args) -> dict:
         oracle = gradients.finite_diff_oracle(
             lambda m: float(spectral.sym_eig(m).values[0]), x
         )
-        rel = float(np.linalg.norm(analytic - oracle.jac)
-                    / max(np.linalg.norm(oracle.jac), 1e-300))
-        return {"rel_err": rel, "threshold": 1e-6, "d": d}
+        return {"rel_err": _rel_err(analytic, oracle.jac), "threshold": 1e-6, "d": d}
 
     return _gradcheck_matrix(args, runner)
 
@@ -247,9 +240,7 @@ def _run_eig_vector(args) -> dict:
         oracle = gradients.finite_diff_oracle(
             lambda m: float(spectral.sym_eig(m).vectors[i - 1, j - 1]), x
         )
-        rel = float(np.linalg.norm(analytic - oracle.jac)
-                    / max(np.linalg.norm(oracle.jac), 1e-300))
-        return {"rel_err": rel, "threshold": 1e-5, "d": d}
+        return {"rel_err": _rel_err(analytic, oracle.jac), "threshold": 1e-5, "d": d}
 
     return _gradcheck_matrix(args, runner)
 
@@ -262,9 +253,8 @@ def _run_epn_vjp(args) -> dict:
         analytic = gradients.epn_matrix_vjp(x, spec, upstream)
         oracle = gradients.finite_diff_oracle(lambda m: spectral.epn_matrix(m, spec), x)
         numeric = oracle.vjp(upstream)
-        rel = float(np.linalg.norm(analytic - numeric)
-                    / max(np.linalg.norm(numeric), 1e-300))
-        return {"rel_err": rel, "threshold": 1e-5, "d": d, "spec": f"{spec.kind}:{spec.param:g}"}
+        return {"rel_err": _rel_err(analytic, numeric), "threshold": 1e-5, "d": d,
+                "spec": f"{spec.kind}:{spec.param:g}"}
 
     return _gradcheck_matrix(args, runner)
 
@@ -291,10 +281,7 @@ def _run_factor_vjp(args) -> dict:
         a_dirs.append(float(np.sum(analytic.data * direction)))
         f_dirs.append((loss(t.data + h * direction) - loss(t.data - h * direction))
                       / (2.0 * h))
-    a_vec = np.asarray(a_dirs)
-    f_vec = np.asarray(f_dirs)
-    rel = float(np.linalg.norm(a_vec - f_vec) / max(np.linalg.norm(f_vec), 1e-300))
-    return {"rel_err": rel, "threshold": 1e-4, "d": d}
+    return {"rel_err": _rel_err(np.asarray(a_dirs), np.asarray(f_dirs)), "threshold": 1e-4, "d": d}
 
 
 def _run_core_grad(args) -> dict:
@@ -317,8 +304,7 @@ def _run_core_grad(args) -> dict:
                 hosvd.core_coefficient(tensor.FeatureSet(plus), u, v, w)
                 - hosvd.core_coefficient(tensor.FeatureSet(minus), u, v, w)
             ) / (2.0 * h)
-    rel = float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300))
-    return {"rel_err": rel, "threshold": 1e-7, "d": d}
+    return {"rel_err": _rel_err(analytic, numeric), "threshold": 1e-7, "d": d}
 
 
 _GRADCHECK_OPS = {
@@ -487,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance between two tensor files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--metric", choices=("tpe", "frobenius"), default="tpe")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="certify bounds and decay equations")

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DomainError, InputError
+from .hosvd import _unit
 from .spectral import (
-    SPSD_EIG_TOL,
     SPSD_KINDS,
     EigenDecomposition,
     PnSpec,
+    _spsd_values,
     pn_scalar,
     sym_eig,
 )
@@ -142,11 +143,7 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     _check_simple(eig.values)
     vals = eig.values
     if spec.kind in SPSD_KINDS:
-        if vals.min() < -SPSD_EIG_TOL:
-            raise DomainError(
-                f"{spec.kind} requires an SPSD matrix; min eigenvalue {vals.min():.3e}"
-            )
-        vals = np.clip(vals, 0.0, None)
+        vals = _spsd_values(vals, spec.kind)
     if spec.kind == "maxexp" and vals.max() > 1.0 + 1e-12:
         raise DomainError("maxexp requires eigenvalues <= 1")
     g = pn_scalar(vals, spec)
@@ -189,15 +186,6 @@ def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     return refold(mbar, 1, t.dims)
 
 
-def _unit_direction(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.ndim != 1:
-        raise InputError(f"{name} must be a vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise DomainError(f"{name} must have unit norm")
-    return v
-
-
 def core_coefficient_grad(features: FeatureSet, u, v, w) -> np.ndarray:
     """Per-vector sensitivities of the pooled third-order coefficient.
 
@@ -205,9 +193,9 @@ def core_coefficient_grad(features: FeatureSet, u, v, w) -> np.ndarray:
     (1/N) [<phi_n,v><phi_n,w> u + <phi_n,u><phi_n,w> v + <phi_n,u><phi_n,v> w]
     with the directions held fixed.
     """
-    u = _unit_direction(u, "u")
-    v = _unit_direction(v, "v")
-    w = _unit_direction(w, "w")
+    u = _unit(u, "u")
+    v = _unit(v, "v")
+    w = _unit(w, "w")
     phi = features.vectors
     if phi.shape[1] != u.shape[0] or v.shape[0] != u.shape[0] or w.shape[0] != u.shape[0]:
         raise InputError("direction vectors must match the feature dimension")

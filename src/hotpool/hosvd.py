@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .spectral import PnSpec, sym_eig
+from .spectral import PnSpec, _rank_cutoff, sym_eig
 from .tensor import DenseTensor, FeatureSet, check_supersymmetric, inner, unfold
 
 # soft ceiling on |coefficient| - kappa before clamping warns
@@ -73,10 +73,7 @@ def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
     m1 = unfold(t, 1)
     gram = m1 @ m1.T
     eig = sym_eig(gram)
-    d = t.dims[0]
-    top = max(float(eig.values[0]), 0.0)
-    rcut = d * np.finfo(np.float64).eps * top
-    dprime = int(np.sum(eig.values > rcut))
+    dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
     core = t.data
     for axis in range(t.order):

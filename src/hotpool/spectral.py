@@ -151,6 +151,14 @@ def _spsd_values(vals: np.ndarray, kind: str) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
+def _rank_cutoff(vals: np.ndarray) -> float:
+    """Eigenvalues at or below d * eps * max(lambda_max, 0) count as zero.
+
+    vals must be in descending order, as sym_eig returns them.
+    """
+    return vals.shape[0] * np.finfo(np.float64).eps * max(float(vals[0]), 0.0)
+
+
 def epn_matrix(x, spec: PnSpec, normalize: bool = False) -> np.ndarray:
     """Eigenvalue power normalization of a symmetric matrix.
 
@@ -176,11 +184,9 @@ def grassmann_map(x, q: int) -> np.ndarray:
         raise DomainError(f"subspace rank must be an integer >= 1, got {q}")
     eig = sym_eig(x)
     vals = _spsd_values(eig.values, "grassmann")
-    d = vals.shape[0]
     if vals[0] <= 0.0:
         raise DomainError("zero matrix has no leading eigenspace")
-    rcut = d * np.finfo(np.float64).eps * vals[0]
-    rank = int(np.sum(vals > rcut))
+    rank = int(np.sum(vals > _rank_cutoff(vals)))
     if q >= rank:
         raise DomainError(f"subspace rank {q} must be below the matrix rank {rank}")
     sep = vals[q - 1] - vals[q]
@@ -202,11 +208,9 @@ def precision_laplacian(x, allow_pseudo: bool = False) -> np.ndarray:
     """
     eig = sym_eig(x)
     vals = _spsd_values(eig.values, "precision_laplacian")
-    d = vals.shape[0]
     if vals[0] <= 0.0:
         raise DomainError("cannot invert the zero matrix")
-    rcut = d * np.finfo(np.float64).eps * vals[0]
-    small = vals <= rcut
+    small = vals <= _rank_cutoff(vals)
     if small.any() and not allow_pseudo:
         raise DomainError(
             "matrix is rank deficient; pass allow_pseudo=True for a pseudo-inverse"

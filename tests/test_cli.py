@@ -99,6 +99,17 @@ def test_epn_rejects_spectrum_above_one(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_epn_normalize_rejected_for_order3(tmp_path):
+    rng = np.random.default_rng(10)
+    src = tmp_path / "t.bin"
+    write_tensor(str(src), pool(FeatureSet(rng.normal(size=(8, 4))), 3))
+    out = tmp_path / "n.bin"
+    res = run_cli("epn", src, "--spec", "sigme:6", "--normalize", "--out", out)
+    assert res.returncode == 2
+    assert "--normalize" in res.stderr
+    assert not out.exists()
+
+
 def test_epn_bad_spec_string(tmp_path):
     src = tmp_path / "x.bin"
     write_tensor(str(src), DenseTensor(np.eye(2)))
@@ -120,18 +131,29 @@ def test_distance_zero_and_symmetry(tmp_path):
     ba = run_cli("distance", pb, pa)
     assert ab.stdout == ba.stdout
     assert ab.stdout.strip() == f"{tpe_distance(ta, tb):.12g}"
+    assert run_cli("distance", pa, pb, "--metric", "tpe").returncode == 2
 
 
-def test_verify_gamma_bound_passes(tmp_path):
+@pytest.mark.parametrize("theorem, extra, header, n_rows", [
+    pytest.param("2", ("--eta-max", "3"),
+                 "eta,t,min_gap,max_gap,window_max_gap,eps1,eps2,window_ok,"
+                 "worst_lambda,beyond_one_min_gap", 3, id="2"),
+    pytest.param("3", (), "t,gamma,min_gap,max_gap,tangency_gap,tangency_ok,worst_lambda",
+                 4, id="3"),
+    pytest.param("combined", (), "t,eta,gamma,min_gap,max_gap,worst_lambda", 5, id="combined"),
+    pytest.param("4", (), "lambda,t,residual", 19 * 11, id="4"),
+    pytest.param("5", (), "lambda_L,t,residual", 15 * 20, id="5"),
+])
+def test_verify_gamma_bound_passes(tmp_path, theorem, extra, header, n_rows):
     out = tmp_path / "rep"
-    res = run_cli("verify", "--theorem", "3", "--out", out)
+    res = run_cli("verify", "--theorem", theorem, *extra, "--out", out)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
-    assert doc["pass"] is True and doc["certified"] is True
+    assert doc["pass"] is True and doc.get("certified", True) is True
     assert json.loads((tmp_path / "rep.json").read_text()) == doc
     csv_lines = (tmp_path / "rep.csv").read_text().splitlines()
-    assert csv_lines[0].startswith("t,gamma,min_gap,")
-    assert len(csv_lines) == 1 + 4
+    assert csv_lines[0] == header
+    assert len(csv_lines) == 1 + n_rows
 
 
 def test_verify_gaps_match_library():

@@ -33,6 +33,7 @@ def test_tensor_header_layout(tmp_path):
     assert raw[4] == 1
     assert raw[5] == 2
     assert len(raw) == 6 + 4 * 2 + 8 * 6
+    assert raw[6 + 4 * 2:] == np.arange(6.0).reshape(2, 3).astype("<f8").tobytes()
 
 
 def test_tensor_bad_magic(tmp_path):
