@@ -174,15 +174,6 @@ def report_json(report: BoundReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def report_csv_rows(report: BoundReport) -> tuple[list, list]:
-    """Per-curve detail as (header, rows) for CSV emission."""
-    if not report.detail:
-        return [], []
-    header = list(report.detail[0].keys())
-    rows = [[row[k] for k in header] for row in report.detail]
-    return header, rows
-
-
 def _validated_step(lam_step: float) -> float:
     lam_step = float(lam_step)
     if not (math.isfinite(lam_step) and 0.0 < lam_step <= 0.1):

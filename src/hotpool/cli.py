@@ -317,11 +317,11 @@ _GRADCHECK_OPS = {
 
 
 def cmd_gradcheck(args) -> int:
-    if args.op not in _GRADCHECK_OPS:
-        raise InputError(
-            f"unknown op {args.op!r}; choose from {sorted(_GRADCHECK_OPS)}"
-        )
-    if args.d < 2 or args.d > 32:
+    if args.spec is not None and args.op != "epn_vjp":
+        raise InputError(f"--spec applies to --op epn_vjp only, not {args.op}")
+    if args.input is not None and args.op in ("factor_vjp", "core_grad"):
+        raise InputError(f"--input does not apply to --op {args.op}, which draws its input")
+    if not args.input and (args.d < 2 or args.d > 32):
         raise InputError(f"d must be in 2..32, got {args.d}")
     result = _GRADCHECK_OPS[args.op](args)
     doc = {
@@ -410,8 +410,6 @@ def _figure_fig4b(args) -> tuple[list, list, list, str]:
 
 def cmd_figure(args) -> int:
     builders = {"fig1": _figure_fig1, "fig2": _figure_fig2, "fig4b": _figure_fig4b}
-    if args.which not in builders:
-        raise InputError(f"unknown figure {args.which!r}; choose from {sorted(builders)}")
     header, rows, (xs, series), title = builders[args.which](args)
     _write_csv(args.out, header, rows)
     print(f"wrote {args.which} data: {args.out}")
@@ -491,11 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="check an analytic gradient numerically")
-    p.add_argument("--op", required=True, help=f"one of {sorted(_GRADCHECK_OPS)}")
-    p.add_argument("--d", type=int, default=6)
+    p.add_argument("--op", required=True, choices=tuple(_GRADCHECK_OPS))
+    p.add_argument("--d", type=int, default=6, help="dimension of the random draw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="operator for epn_vjp (default sigme:4)")
-    p.add_argument("--input", help="matrix CSV to use instead of a random draw")
+    p.add_argument("--input", help="matrix CSV to use instead of a random draw "
+                   "(eig_value_grad, eig_vector_grad, epn_vjp)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("figure", help="emit figure data as CSV (optionally SVG)")

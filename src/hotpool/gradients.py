@@ -76,13 +76,20 @@ def eig_value_grad(x, i: int) -> np.ndarray:
     return np.outer(u, u)
 
 
+def _gap_inverse(values: np.ndarray) -> np.ndarray:
+    """Divided-difference matrix F[j, k] = 1 / (lambda_j - lambda_k).
+
+    Entries with lambda_j == lambda_k, the diagonal among them, are zero:
+    the pseudo-inverse convention. Callers that need every gap run
+    _check_simple first.
+    """
+    diff = values[:, None] - values[None, :]
+    return np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0.0)
+
+
 def _pinv_shifted(eig: EigenDecomposition, j: int) -> np.ndarray:
     """Pseudo-inverse of (lambda_j I - X) that annihilates direction j."""
-    denom = eig.values[j] - eig.values
-    coef = np.zeros_like(denom)
-    mask = np.arange(denom.shape[0]) != j
-    coef[mask] = 1.0 / denom[mask]
-    return (eig.vectors * coef) @ eig.vectors.T
+    return (eig.vectors * _gap_inverse(eig.values)[j]) @ eig.vectors.T
 
 
 def eig_vector_grad(x, i: int, j: int) -> np.ndarray:
@@ -123,23 +130,29 @@ def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
     raise DomainError(f"{spec.kind} has no pointwise derivative")
 
 
-def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
-    """Pull an output sensitivity back through the eigenvalue map.
-
-    Differentiates X -> U g(diag(lambda)) U^T without spectrum
-    normalization. The eigenvector term sums 2 g(lambda_j) sym(P_j W u_j
-    u_j^T) over j with W the symmetrized upstream, and the eigenvalue term
-    adds g'(lambda_i) (u_i^T W u_i) u_i u_i^T.
-    """
-    if spec.kind == "grassmann":
-        raise DomainError("grassmann has no pointwise derivative")
-    eig = sym_eig(x)
-    d = eig.values.shape[0]
+def _checked_upstream(upstream, d: int) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (d, d):
         raise InputError(f"upstream must have shape ({d}, {d}), got {upstream.shape}")
     if not np.all(np.isfinite(upstream)):
         raise DomainError("upstream contains non-finite entries")
+    return upstream
+
+
+def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
+    """Pull an output sensitivity back through the eigenvalue map.
+
+    Differentiates X -> U g(diag(lambda)) U^T without spectrum
+    normalization, in the Daleckii-Krein form U (L o U^T W U) U^T with W
+    the symmetrized upstream, o the entrywise product, and the Loewner
+    matrix L_jk = (g(lambda_j) - g(lambda_k)) / (lambda_j - lambda_k),
+    L_jj = g'(lambda_j). The diagonal of L carries the eigenvalue term,
+    the rest the eigenvector term.
+    """
+    if spec.kind == "grassmann":
+        raise DomainError("grassmann has no pointwise derivative")
+    eig = sym_eig(x)
+    upstream = _checked_upstream(upstream, eig.values.shape[0])
     _check_simple(eig.values)
     vals = eig.values
     if spec.kind in SPSD_KINDS:
@@ -147,41 +160,32 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     if spec.kind == "maxexp" and vals.max() > 1.0 + 1e-12:
         raise DomainError("maxexp requires eigenvalues <= 1")
     g = pn_scalar(vals, spec)
-    gp = _pn_deriv(vals, spec)
+    loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
+    np.fill_diagonal(loewner, _pn_deriv(vals, spec))
     w = 0.5 * (upstream + upstream.T)
-    b = eig.vectors.T @ w @ eig.vectors
-    out = (eig.vectors * (gp * np.diag(b))) @ eig.vectors.T
-    for j in range(d):
-        u_j = eig.vectors[:, j]
-        a_j = _pinv_shifted(eig, j) @ (w @ u_j)
-        block = np.outer(a_j, u_j)
-        out = out + g[j] * (block + block.T)
-    return out
+    u = eig.vectors
+    return u @ (loewner * (u.T @ w @ u)) @ u.T
 
 
 def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     """Pull a sensitivity on the shared factor back to the tensor.
 
     The factor U collects eigenvectors of S = M1 M1^T with M1 the mode-1
-    unfolding, so the chain runs U <- S <- M1 <- T. The S step uses the
-    shifted pseudo-inverses per column, the M1 step is d(S) = dM M1^T +
-    M1 dM^T, and the refold inverts the unfolding.
+    unfolding, so the chain runs U <- S <- M1 <- T. The S step is
+    G = U (F^T o U^T Ubar) U^T with Ubar the upstream, o the entrywise
+    product and F_jk = 1 / (lambda_j - lambda_k) (zero diagonal), the M1
+    step is d(S) = dM M1^T + M1 dM^T, so Mbar = (G + G^T) M1, and the
+    refold inverts the unfolding.
     """
     if t.order != 3:
         raise InputError(f"expected an order-3 tensor, got order {t.order}")
     m1 = unfold(t, 1)
     gram = m1 @ m1.T
     eig = sym_eig(gram)
-    d = eig.values.shape[0]
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (d, d):
-        raise InputError(f"upstream must have shape ({d}, {d}), got {upstream.shape}")
-    if not np.all(np.isfinite(upstream)):
-        raise DomainError("upstream contains non-finite entries")
+    upstream = _checked_upstream(upstream, eig.values.shape[0])
     _check_simple(eig.values)
-    g_raw = np.zeros((d, d))
-    for j in range(d):
-        g_raw += np.outer(_pinv_shifted(eig, j) @ upstream[:, j], eig.vectors[:, j])
+    u = eig.vectors
+    g_raw = u @ (_gap_inverse(eig.values).T * (u.T @ upstream)) @ u.T
     mbar = (g_raw + g_raw.T) @ m1
     return refold(mbar, 1, t.dims)
 

@@ -58,10 +58,11 @@ class HosvdFactors:
         return self.factor.shape[1]
 
 
-def _mode_contract(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract axis `axis` of a with the first axis of mat."""
-    out = np.tensordot(a, mat, axes=([axis], [0]))
-    return np.moveaxis(out, -1, axis)
+def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Contract every axis of a, in turn, with the first axis of mat."""
+    for axis in range(a.ndim):
+        a = np.moveaxis(np.tensordot(a, mat, axes=([axis], [0])), -1, axis)
+    return a
 
 
 def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
@@ -75,10 +76,7 @@ def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
     eig = sym_eig(gram)
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
-    core = t.data
-    for axis in range(t.order):
-        core = _mode_contract(core, u, axis)
-    return HosvdFactors(core, u, kappa_for_order(t.order))
+    return HosvdFactors(_all_modes(t.data, u), u, kappa_for_order(t.order))
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
@@ -92,10 +90,7 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
         )
     if dprime == 0:
         return DenseTensor(np.zeros((d,) * f.order), supersymmetric=True)
-    out = f.core
-    for axis in range(f.order):
-        out = _mode_contract(out, f.factor.T, axis)
-    return DenseTensor(out, supersymmetric=True)
+    return DenseTensor(_all_modes(f.core, f.factor.T), supersymmetric=True)
 
 
 def _unit(vec, name: str) -> np.ndarray:
@@ -189,10 +184,7 @@ def tpe_dot_factored(fx: HosvdFactors, fy: HosvdFactors) -> float:
     if fx.factor.shape[0] != fy.factor.shape[0]:
         raise InputError("factors live in different ambient dimensions")
     c = fx.factor.T @ fy.factor
-    out = fy.core
-    for axis in range(fy.order):
-        out = np.moveaxis(np.tensordot(out, c, axes=([axis], [1])), -1, axis)
-    return float(np.dot(fx.core.ravel(), out.ravel()))
+    return float(np.dot(fx.core.ravel(), _all_modes(fy.core, c.T).ravel()))
 
 
 def tpe_distance(gx: DenseTensor, gy: DenseTensor) -> float:

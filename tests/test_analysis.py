@@ -28,7 +28,7 @@ from hotpool import (
     verify_maxexp_ode,
     y_of_eta,
 )
-from hotpool.analysis import E, _grid_open, report_csv_rows, report_json
+from hotpool.analysis import E, _grid_open, report_json
 
 # reference constants below were evaluated with mpmath at 50 digits
 
@@ -311,9 +311,6 @@ def test_report_json_schema():
     }
     assert doc["check"] == "gamma_bound"
     assert doc["pass"] is True
-    header, rows = report_csv_rows(rep)
-    assert header == list(rep.detail[0].keys())
-    assert len(rows) == 1
 
 
 def test_grid_open_endpoints():

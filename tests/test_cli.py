@@ -213,7 +213,36 @@ def test_gradcheck_degenerate_input_exits_4(tmp_path):
 
 
 def test_gradcheck_unknown_op():
-    assert run_cli("gradcheck", "--op", "nope").returncode == 2
+    res = run_cli("gradcheck", "--op", "nope")
+    assert res.returncode == 2
+    assert "invalid choice" in res.stderr
+
+
+@pytest.mark.parametrize("op", ["factor_vjp", "core_grad"])
+def test_gradcheck_input_rejected_for_drawn_ops(tmp_path, op):
+    src = tmp_path / "m.csv"
+    write_matrix_csv(str(src), np.diag([0.9, 0.5, 0.2]))
+    res = run_cli("gradcheck", "--op", op, "--input", src, "--d", "3")
+    assert res.returncode == 2
+    assert "--input" in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("op", ["eig_value_grad", "eig_vector_grad", "factor_vjp", "core_grad"])
+def test_gradcheck_spec_rejected_off_epn_vjp(op):
+    res = run_cli("gradcheck", "--op", op, "--spec", "sigme:4", "--d", "3")
+    assert res.returncode == 2
+    assert "--spec" in res.stderr and res.stdout == ""
+
+
+def test_gradcheck_d_range_only_for_draws(tmp_path):
+    src = tmp_path / "m.csv"
+    write_matrix_csv(str(src), np.diag([0.9, 0.5, 0.2]))
+    res = run_cli("gradcheck", "--op", "eig_value_grad", "--input", src, "--d", "40")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["d"] == 3
+    res = run_cli("gradcheck", "--op", "eig_value_grad", "--d", "40")
+    assert res.returncode == 2
+    assert "d must be in 2..32" in res.stderr
 
 
 def test_figure_fig2_rows(tmp_path):

@@ -19,7 +19,8 @@ from hotpool import (
     sym_eig,
     unfolded_factor_vjp,
 )
-from hotpool.gradients import _pinv_shifted
+from hotpool.gradients import _pinv_shifted, _pn_deriv
+from hotpool.spectral import SPSD_KINDS, _spsd_values, pn_scalar
 
 
 def _spd(seed, d, lo=0.2, hi=0.95):
@@ -108,6 +109,72 @@ def test_shifted_pseudoinverse_annihilates_direction():
         assert np.linalg.norm(p @ shifted - proj) < 1e-8
 
 
+def test_eig_vector_grad_repeated_pair_elsewhere():
+    # only gaps to the queried eigenvalue enter; an exact tie elsewhere is fine
+    g = eig_vector_grad(np.diag([2.0, 1.0, 1.0]), 2, 1)
+    assert_allclose(g, [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], atol=1e-15)
+    with pytest.raises(DegenerateSpectrumError):
+        eig_vector_grad(np.diag([2.0, 1.0, 1.0]), 1, 2)
+
+
+def _loop_epn_vjp(x, spec, upstream):
+    """Reference per-column form: the eigenvalue term plus, for each j,
+    g(lambda_j) sym(P_j W u_j u_j^T) twice, with P_j the shifted pseudo-inverse."""
+    eig = sym_eig(x)
+    vals = eig.values
+    if spec.kind in SPSD_KINDS:
+        vals = _spsd_values(vals, spec.kind)
+    g = pn_scalar(vals, spec)
+    gp = _pn_deriv(vals, spec)
+    w = 0.5 * (upstream + upstream.T)
+    b = eig.vectors.T @ w @ eig.vectors
+    out = (eig.vectors * (gp * np.diag(b))) @ eig.vectors.T
+    for j in range(x.shape[0]):
+        u_j = eig.vectors[:, j]
+        block = np.outer(_pinv_shifted(eig, j) @ (w @ u_j), u_j)
+        out = out + g[j] * (block + block.T)
+    return out
+
+
+def _loop_factor_vjp(t, upstream):
+    """Reference per-column form: sum_j P_j ubar_j u_j^T, then the M1 step."""
+    m1 = t.data.reshape(t.dims[0], -1, order="F")
+    eig = sym_eig(m1 @ m1.T)
+    g_raw = np.zeros_like(upstream)
+    for j in range(upstream.shape[0]):
+        g_raw += np.outer(_pinv_shifted(eig, j) @ upstream[:, j], eig.vectors[:, j])
+    return ((g_raw + g_raw.T) @ m1).reshape(t.dims, order="F")
+
+
+_POINTWISE_SPECS = [
+    PnSpec("gamma", 0.7),
+    PnSpec("maxexp", 4),
+    PnSpec("asinhe", 0.9),
+    PnSpec("sigme", 4),
+    PnSpec("hdp", 0.3),
+]
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+@pytest.mark.parametrize("spec", _POINTWISE_SPECS, ids=lambda s: s.kind)
+def test_epn_vjp_matches_loop_reference(spec, d):
+    x = _spd(90 + d, d)
+    up = np.random.default_rng(91 + d).normal(size=(d, d))
+    want = _loop_epn_vjp(x, spec, up)
+    got = epn_matrix_vjp(x, spec, up)
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_unfolded_factor_vjp_matches_loop_reference(d):
+    rng = np.random.default_rng(92 + d)
+    t = pool(FeatureSet(rng.normal(size=(2 * d, d))), 3)
+    up = rng.normal(size=(d, d))
+    want = _loop_factor_vjp(t, up)
+    got = unfolded_factor_vjp(t, up).data
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
 def test_epn_vjp_identity_spec_symmetrizes():
     x = _spd(65, 5)
     rng = np.random.default_rng(66)
@@ -139,17 +206,7 @@ def test_epn_vjp_trace_gradient():
     assert np.linalg.norm(got - want) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        PnSpec("gamma", 0.7),
-        PnSpec("maxexp", 4),
-        PnSpec("asinhe", 0.9),
-        PnSpec("sigme", 4),
-        PnSpec("hdp", 0.3),
-    ],
-    ids=lambda s: s.kind,
-)
+@pytest.mark.parametrize("spec", _POINTWISE_SPECS, ids=lambda s: s.kind)
 def test_epn_vjp_finite_diff(spec):
     x = _spd(68, 6)
     rng = np.random.default_rng(69)
