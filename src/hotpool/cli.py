@@ -432,7 +432,7 @@ def cmd_sketch(args) -> int:
         if args.dprime is None:
             raise InputError("pass --dprime (or --plan to reuse a stored plan)")
         plan = sketch.make_plan(features.dim, args.dprime, args.seed)
-    sketched = np.stack([sketch.apply(plan, row) for row in features.vectors])
+    sketched = sketch.apply(plan, features.vectors)
     has_weights = not np.all(features.weights == 1.0)
     out_features = tensor.FeatureSet(sketched, features.weights if has_weights else None)
     io.write_features_csv(args.out, out_features, include_weights=has_weights)

@@ -5,13 +5,19 @@ with a single orthonormal factor U (d x d') and core G (d' x ... x d').
 U comes from the eigenvectors of the mode-1 Gram matrix M1 M1^T, truncated
 at the rank cutoff d * eps * lambda_max.
 
-Core coefficients of a pooled tensor live in [-kappa, kappa] with
-kappa = (1/sqrt(r))^r, which calibrates the signed saturation map
-detector_likelihood and apply_epn_core.
+For a pooled tensor of unit-norm vectors with weights <= 1 and no
+centering, a core entry whose index values occur with multiplicities
+m_1, ..., m_k is bounded by prod_k (m_k/r)^(m_k/2), and the bound is
+attained. That is kappa = (1/sqrt(r))^r only when all indices differ: it
+is 2/(3 sqrt(3)) for (i, i, j) at r=3 and 1 on the diagonal. The single
+constant kappa calibrates the signed saturation maps detector_likelihood
+and apply_epn_core, so repeated-index entries can exceed it even for
+unit-norm inputs.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .spectral import PnSpec, _rank_cutoff, sym_eig
-from .tensor import DenseTensor, FeatureSet, check_supersymmetric, inner, unfold
+from .tensor import DenseTensor, FeatureSet, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -29,7 +35,8 @@ _UNIT_TOL = 1e-8
 
 
 def kappa_for_order(r: int) -> float:
-    """Peak core magnitude (1/sqrt(r))^r for unit-norm inputs."""
+    """Peak magnitude (1/sqrt(r))^r of an all-distinct-index core entry
+    for unit-norm inputs (see the module docstring for the other entries)."""
     if r < 2:
         raise InputError(f"order must be >= 2, got {r}")
     return float(r ** (-r / 2.0))
@@ -59,9 +66,16 @@ class HosvdFactors:
 
 
 def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Contract every axis of a, in turn, with the first axis of mat."""
-    for axis in range(a.ndim):
-        a = np.moveaxis(np.tensordot(a, mat, axes=([axis], [0])), -1, axis)
+    """Contract every axis of a, in turn, with the first axis of mat.
+
+    Each step is one GEMM that contracts the leading axis and appends the
+    new one last, so after a.ndim steps the axes are back in order without
+    a moveaxis copy. Shapes are explicit products rather than -1, which
+    numpy cannot infer when an axis has size 0 (a rank-0 core).
+    """
+    for _ in range(a.ndim):
+        rest = a.shape[1:]
+        a = (a.reshape(a.shape[0], math.prod(rest)).T @ mat).reshape(rest + (mat.shape[1],))
     return a
 
 
@@ -71,7 +85,8 @@ def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
         raise InputError("hosvd needs order >= 2")
     if not (t.supersymmetric or check_supersymmetric(t)):
         raise DomainError("tensor is not super-symmetric")
-    m1 = unfold(t, 1)
+    # a column permutation of unfold(t, 1), so the same Gram without a copy
+    m1 = t.data.reshape(t.dims[0], -1)
     gram = m1 @ m1.T
     eig = sym_eig(gram)
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
@@ -83,13 +98,11 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
     """Map a core back to the ambient space through the shared factor."""
     if f.factor.ndim != 2:
         raise InputError("factor must be a matrix")
-    d, dprime = f.factor.shape
+    dprime = f.factor.shape[1]
     if any(s != dprime for s in f.core.shape):
         raise InputError(
             f"core dims {f.core.shape} do not match factor rank {dprime}"
         )
-    if dprime == 0:
-        return DenseTensor(np.zeros((d,) * f.order), supersymmetric=True)
     return DenseTensor(_all_modes(f.core, f.factor.T), supersymmetric=True)
 
 
@@ -121,8 +134,8 @@ def detector_likelihood(lam: float, kappa: float, n: float) -> float:
     """Signed saturation sgn(lam) * (1 - (1 - |lam|/kappa)^n).
 
     |lam| is clamped to kappa; an excess beyond KAPPA_EXCESS_TOL triggers a
-    warning because it means the coefficient was not produced by unit-norm
-    directions.
+    warning because kappa bounds only coefficients along distinct orthonormal
+    directions of unit-norm inputs (see the module docstring).
     """
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
@@ -158,8 +171,9 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
         excess = float(np.max(np.abs(f.core))) - f.kappa if f.core.size else 0.0
         if excess > KAPPA_EXCESS_TOL:
             raise DomainError(
-                f"core coefficient exceeds kappa by {excess:.3e}; "
-                "inputs were not unit normalized"
+                f"core coefficient exceeds kappa by {excess:.3e}; kappa bounds only "
+                "all-distinct-index entries, and a repeated-index entry can exceed it "
+                "even for unit-norm inputs (use sigme)"
             )
         x = np.clip(x, -1.0, 1.0)
         out = np.sign(x) * (1.0 - (1.0 - np.abs(x)) ** spec.param)

@@ -77,15 +77,23 @@ def make_plan(d: int, d_prime: int, seed: int) -> SketchPlan:
 
 
 def apply(plan: SketchPlan, x) -> np.ndarray:
-    """Project a length-d vector to length d'."""
+    """Project a length-d vector, or each row of an (N, d) block, to length d'.
+
+    One flat index per (row, coordinate) keeps np.add.at on its fast 1-D
+    path; each row still adds its coordinates in order, so a block gives
+    bit-for-bit the rows of the per-vector calls.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (plan.input_dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != plan.input_dim:
         raise InputError(
             f"vector length {x.shape} does not match plan input dim {plan.input_dim}"
         )
-    out = np.zeros(plan.output_dim)
-    np.add.at(out, plan.buckets - 1, plan.signs * x)
-    return out
+    rows = x.reshape(-1, plan.input_dim)
+    n, k = rows.shape[0], plan.output_dim
+    out = np.zeros(n * k)
+    np.add.at(out, (np.arange(n)[:, None] * k + (plan.buckets - 1)).ravel(),
+              (plan.signs * rows).ravel())
+    return out.reshape(x.shape[:-1] + (k,))
 
 
 def plan_json(plan: SketchPlan) -> str:

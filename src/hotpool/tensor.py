@@ -134,22 +134,41 @@ def outer_power(x, r: int) -> DenseTensor:
     return DenseTensor(data, supersymmetric=True)
 
 
-_POOL_SUBSCRIPTS = {
-    2: "n,ni,nj->ij",
-    3: "n,ni,nj,nk->ijk",
-    4: "n,ni,nj,nk,nl->ijkl",
-}
+def _khatri_rao(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows scale_n * (x_n outer x_n), flattened to shape (len(x), d*d)."""
+    n, d = x.shape
+    return ((x * scale[:, None])[:, :, None] * x[:, None, :]).reshape(n, d * d)
 
 
 def pool(features: FeatureSet, r: int) -> DenseTensor:
-    """Order-r weighted pooling of a feature set (see module docstring)."""
+    """Order-r weighted pooling of a feature set (see module docstring).
+
+    Every order is a matrix product: r=2 is q^T q with q = w*phi, r=3 is
+    (w^3 phi (.) phi)^T phi and r=4 is q^T q with q = w^2 phi (.) phi, where
+    (.) is the row-wise Khatri-Rao product. For r >= 3 the rows are summed
+    in blocks of d^(r-2), so the (block, d^2) Khatri-Rao buffer never holds
+    more entries than the result.
+    """
     if not 2 <= r <= MAX_ORDER:
         raise InputError(f"order must be 2..{MAX_ORDER}, got {r}")
     phi = features.vectors - features.mean
-    w = features.weights**r
-    args = [w] + [phi] * r
-    data = np.einsum(_POOL_SUBSCRIPTS[r], *args, optimize=True) / features.count
-    return DenseTensor(data, supersymmetric=True)
+    w = features.weights
+    n, d = phi.shape
+    if r == 2:
+        q = phi * w[:, None]
+        data = q.T @ q
+    else:
+        block = d ** (r - 2)
+        data = np.zeros((d * d, block))
+        for s in range(0, n, block):
+            x, ws = phi[s : s + block], w[s : s + block]
+            if r == 3:
+                data += _khatri_rao(x, ws**3).T @ x
+            else:
+                q = _khatri_rao(x, ws**2)
+                data += q.T @ q
+    data /= n
+    return DenseTensor(data.reshape((d,) * r), supersymmetric=True)
 
 
 def frobenius_norm(t: DenseTensor) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,7 @@ from hotpool import (
     tpe_dot,
     tpe_dot_factored,
 )
+from hotpool.hosvd import _all_modes
 
 
 def _pooled(seed, d, n=None):
@@ -119,6 +122,33 @@ def test_core_entries_bounded_for_unit_features():
                     assert abs(f.core[a, b, c]) <= f.kappa + 1e-9
 
 
+def _entry_bound(idx, r):
+    """prod_k (m_k/r)^(m_k/2) over the multiplicities m_k of the index values."""
+    return math.prod((m / r) ** (m / 2) for m in np.unique(idx, return_counts=True)[1])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_core_entries_within_per_entry_bound(r):
+    """Unit-norm, roughly aligned sets with weights <= 1: every core entry is
+    within its per-entry bound, and repeated-index entries exceed kappa."""
+    rng = np.random.default_rng(70 + r)
+    phi = np.abs(rng.normal(size=(40, 5))) + 1.0
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    f = hosvd_supersym(pool(FeatureSet(phi, weights=rng.uniform(0.9, 1.0, size=40)), r))
+    for idx in np.ndindex(f.core.shape):
+        assert abs(f.core[idx]) <= _entry_bound(idx, r) + 1e-12
+    assert np.max(np.abs(f.core)) > f.kappa
+
+
+def test_per_entry_bound_attained():
+    """x = sqrt(2/3) u + sqrt(1/3) v attains the (i, i, j) bound 2/(3 sqrt 3)."""
+    u, v = np.eye(4)[0], np.eye(4)[1]
+    x = np.sqrt(2.0 / 3.0) * u + np.sqrt(1.0 / 3.0) * v
+    got = core_coefficient(FeatureSet([x]), u, u, v)
+    assert_allclose(got, _entry_bound((0, 0, 1), 3), rtol=1e-14)
+    assert_allclose(got, 2.0 / (3.0 * np.sqrt(3.0)), rtol=1e-14)
+
+
 def test_detector_likelihood_values():
     k = 0.5
     assert detector_likelihood(0.0, k, 8) == 0.0
@@ -209,6 +239,34 @@ def test_reconstruct_single_entry():
 def test_reconstruct_shape_check():
     with pytest.raises(InputError):
         reconstruct(HosvdFactors(np.zeros((2, 2, 2)), np.eye(4, 3), kappa_for_order(3)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rank_zero_products(r):
+    """A zero tensor factors to rank 0, and every product with it is zero."""
+    zero = hosvd_supersym(DenseTensor(np.zeros((4,) * r), supersymmetric=True))
+    one = hosvd_supersym(outer_power(np.array([2.0, 1.0, -2.0, 0.0]) / 3.0, r))
+    assert (zero.rank, one.rank) == (0, 1)
+    assert tpe_dot_factored(zero, one) == 0.0
+    assert tpe_dot_factored(one, zero) == 0.0
+    for spec in (PnSpec("maxexp", 4), PnSpec("sigme", 4)):
+        back = reconstruct(apply_epn_core(zero, spec))
+        assert np.array_equal(back.data, np.zeros((4,) * r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_all_modes_non_square_factor(r):
+    """Every-mode product with a (d, d') factor, d' < d, on an asymmetric
+    tensor, against per-axis tensordot."""
+    rng = np.random.default_rng(80 + r)
+    a = rng.normal(size=(5,) * r)
+    mat = rng.normal(size=(5, 3))
+    want = a
+    for axis in range(r):
+        want = np.moveaxis(np.tensordot(want, mat, axes=([axis], [0])), -1, axis)
+    got = _all_modes(a, mat)
+    assert got.shape == (3,) * r
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def _epn_pipeline(seed, d):

@@ -55,6 +55,22 @@ def test_apply_length_mismatch():
         apply(_hand_plan(), [1.0, 2.0, 3.0])
 
 
+def test_apply_block_equals_stacked_rows():
+    """An (N, d) block gives bit-for-bit the per-row results."""
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(50, 64))
+    plan = make_plan(64, 16, 9)
+    block = apply(plan, x)
+    assert block.shape == (50, 16)
+    assert np.array_equal(block, np.stack([apply(plan, row) for row in x]))
+
+
+def test_apply_block_shape_mismatch():
+    for bad in (np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros(())):
+        with pytest.raises(InputError, match="length"):
+            apply(_hand_plan(), bad)
+
+
 def test_make_plan_deterministic():
     a = make_plan(50, 7, 99)
     b = make_plan(50, 7, 99)

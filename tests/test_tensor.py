@@ -104,6 +104,40 @@ def test_pool_output_is_supersymmetric(r):
     assert check_supersymmetric(t)
 
 
+def _slice_pool(phi, w, r):
+    """Order-r pooling written slice by slice: T[i, ..., :, :] is the sum
+    over n of w_n^r phi_ni ... (phi_n phi_n^T), one (d, d) slice per
+    leading index."""
+    n, d = phi.shape
+    out = np.empty((d,) * r)
+    for idx in np.ndindex(*(d,) * (r - 2)):
+        c = w**r * np.prod(phi[:, list(idx)], axis=1)
+        out[idx] = (phi * c[:, None]).T @ phi
+    return out / n
+
+
+def _block_boundary_cases():
+    """(r, d, N) with N in {1, b-1, b, b+1, 3b+2} for the row block b = d^(r-2)."""
+    for r, d in ((2, 5), (3, 4), (4, 3)):
+        b = d ** (r - 2)
+        for n in sorted({max(1, m) for m in (1, b - 1, b, b + 1, 3 * b + 2)}):
+            yield r, d, n
+
+
+@pytest.mark.parametrize("r,d,n", list(_block_boundary_cases()))
+def test_pool_matches_slice_reference_across_blocks(r, d, n):
+    """Weighted, centered pooling against the slice-by-slice sum, at every
+    row-block boundary of the blocked products."""
+    rng = np.random.default_rng([r, d, n])
+    phi = rng.normal(size=(n, d))
+    w = rng.uniform(0.3, 1.7, size=n)
+    mu = 0.5 * rng.normal(size=d)
+    t = pool(FeatureSet(phi, weights=w, mean=mu), r)
+    want = _slice_pool(phi - mu, w, r)
+    assert np.max(np.abs(t.data - want)) <= 1e-12 * np.max(np.abs(want))
+    assert check_supersymmetric(t)
+
+
 def test_check_supersymmetric_rejects_asymmetric():
     a = np.zeros((2, 2, 2))
     a[0, 1, 1] = 1.0
