@@ -248,6 +248,8 @@ def _sweep_bound(check: str, params: list, lam_step: float, t_scale: float,
     requires row[ok_key] on every curve when ok_key is given. grid holds the
     check's own grid entries; the step and scale are added here.
     """
+    if not params:
+        raise InputError(f"{check}: empty parameter grid")
     lam_step = _validated_step(lam_step)
     t_scale = _validated_scale(t_scale)
     detail = []
@@ -256,8 +258,8 @@ def _sweep_bound(check: str, params: list, lam_step: float, t_scale: float,
         lam, gap, row = curve(param, t_scale, lam_step)
         touch.extend(_local_minima(lam, gap))
         detail.append(row)
-    min_gap = min((row["min_gap"] for row in detail), default=math.inf)
-    max_gap = max((row["max_gap"] for row in detail), default=-math.inf)
+    min_gap = min(row["min_gap"] for row in detail)
+    max_gap = max(row["max_gap"] for row in detail)
     passed = min_gap >= -BOUND_TOL
     certified = passed and (ok_key is None or all(row[ok_key] for row in detail))
     grid = {**grid, "lambda_step": lam_step, "t_scale": t_scale}
@@ -405,6 +407,8 @@ def ode_residual_maxexp(lam: float, t: float, h: float = 1e-6,
         raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step must be positive, got {h}")
+    if not math.isfinite(coeff_scale):
+        raise DomainError(f"coefficient scale must be finite, got {coeff_scale}")
     if not (t - h > 0.0 and t + h <= T_ETA_MAX):
         raise DomainError(
             f"t must lie in ({h}, {T_ETA_MAX - h:.6f}] so t +/- h stays in range"
@@ -433,6 +437,8 @@ def ode_residual_gamma(lam_l: float, t: float, coeff_scale: float = 1.0) -> floa
         raise DomainError(f"Laplacian eigenvalue must be positive, got {lam_l}")
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"time must be positive, got {t}")
+    if not math.isfinite(coeff_scale):
+        raise DomainError(f"coefficient scale must be finite, got {coeff_scale}")
     psi = lam_l ** (-E * t)
     dpsi = -E * math.log(lam_l) * psi
     return abs(dpsi + coeff_scale * E * math.log(lam_l) * psi)
@@ -445,23 +451,18 @@ def _sweep_ode(check: str, key: str, xs, ts, residual, tolerance: float,
     Rows and the worst point name the eigenvalue coordinate key; params are
     the settings the report echoes next to the check name.
     """
-    rows = []
-    worst = (None, None)
-    max_residual = -math.inf
-    for x in xs:
-        for t in ts:
-            r = residual(float(x), float(t))
-            rows.append({key: float(x), "t": float(t), "residual": r})
-            if r > max_residual:
-                max_residual = r
-                worst = (float(x), float(t))
+    rows = [{key: float(x), "t": float(t), "residual": residual(float(x), float(t))}
+            for x in xs for t in ts]
+    if not rows:
+        raise InputError(f"{check}: empty {key}-by-t grid")
+    worst = max(rows, key=lambda row: row["residual"])
     return {
         "check": check,
         **params,
         "tolerance": tolerance,
-        "max_residual": max_residual,
-        "worst": {key: worst[0], "t": worst[1]},
-        "pass": max_residual < tolerance,
+        "max_residual": worst["residual"],
+        "worst": {key: worst[key], "t": worst["t"]},
+        "pass": worst["residual"] < tolerance,
         "rows": rows,
     }
 

@@ -39,30 +39,6 @@ def _write_text(path, text: str) -> None:
             f.write("\n")
 
 
-def _csv_line(cells) -> str:
-    out = []
-    for c in cells:
-        if c is None:
-            out.append("")
-        elif isinstance(c, str):
-            out.append(c)
-        elif isinstance(c, bool):
-            out.append("true" if c else "false")
-        elif isinstance(c, (int, np.integer)):
-            out.append(str(int(c)))
-        else:
-            out.append(repr(float(c)))
-    return ",".join(out)
-
-
-def _write_csv(path, header, rows) -> None:
-    lines = []
-    if header:
-        lines.append(_csv_line(header))
-    lines.extend(_csv_line(row) for row in rows)
-    _write_text(path, "\n".join(lines))
-
-
 def _write_svg(path, xs, series, title: str) -> None:
     """Minimal polyline plot; series is a list of (name, ys) pairs."""
     width, height, pad = 640.0, 400.0, 45.0
@@ -166,8 +142,8 @@ def _emit_report(text: str, rows: list, out_prefix) -> None:
     print(text)
     if out_prefix:
         _write_text(f"{out_prefix}.json", text)
-        header = list(rows[0].keys()) if rows else []
-        _write_csv(f"{out_prefix}.csv", header, [[r[k] for k in header] for r in rows])
+        header = list(rows[0])
+        io.write_csv(f"{out_prefix}.csv", header, [[r[k] for k in header] for r in rows])
 
 
 def cmd_verify(args) -> int:
@@ -339,6 +315,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def _figure_fig1(args) -> tuple[list, list, list, str]:
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
     eta = args.eta if args.eta is not None else 64.0
     rng = np.random.default_rng(args.seed)
     samples = rng.beta(2.0, 5.0, size=args.n)
@@ -398,6 +376,8 @@ def _figure_fig2(args) -> tuple[list, list, list, str]:
 
 
 def _figure_fig4b(args) -> tuple[list, list, list, str]:
+    if not (math.isfinite(args.theta_step) and 0.0 < args.theta_step <= math.pi / 2):
+        raise InputError(f"--theta-step must lie in (0, pi/2], got {args.theta_step}")
     eta = args.eta if args.eta is not None else 20.0
     n = int(round(math.pi / 2 / args.theta_step)) + 1
     thetas = np.linspace(0.0, math.pi / 2, n)
@@ -411,7 +391,7 @@ def _figure_fig4b(args) -> tuple[list, list, list, str]:
 def cmd_figure(args) -> int:
     builders = {"fig1": _figure_fig1, "fig2": _figure_fig2, "fig4b": _figure_fig4b}
     header, rows, (xs, series), title = builders[args.which](args)
-    _write_csv(args.out, header, rows)
+    io.write_csv(args.out, header, rows)
     print(f"wrote {args.which} data: {args.out}")
     if args.svg:
         _write_svg(args.svg, xs, series, title)

@@ -157,8 +157,6 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     vals = eig.values
     if spec.kind in SPSD_KINDS:
         vals = _spsd_values(vals, spec.kind)
-    if spec.kind == "maxexp" and vals.max() > 1.0 + 1e-12:
-        raise DomainError("maxexp requires eigenvalues <= 1")
     g = pn_scalar(vals, spec)
     loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
     np.fill_diagonal(loewner, _pn_deriv(vals, spec))

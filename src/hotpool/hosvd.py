@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .spectral import PnSpec, _rank_cutoff, sym_eig
-from .tensor import DenseTensor, FeatureSet, check_supersymmetric, inner
+from .tensor import DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -52,9 +52,7 @@ class HosvdFactors:
 
     def __post_init__(self):
         for name in ("core", "factor"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _owned(getattr(self, name)))
 
     @property
     def order(self) -> int:
@@ -110,7 +108,7 @@ def _unit(vec, name: str) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     if v.ndim != 1:
         raise InputError(f"{name} must be a vector")
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:
         raise DomainError(f"{name} must have unit norm")
     return v
 
@@ -142,6 +140,8 @@ def detector_likelihood(lam: float, kappa: float, n: float) -> float:
     if not n >= 1:
         raise DomainError(f"exponent must be >= 1, got {n}")
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"coefficient must be finite, got {lam}")
     mag = abs(lam)
     if mag > kappa:
         if mag - kappa > KAPPA_EXCESS_TOL:

@@ -1,4 +1,4 @@
-"""File formats: the HOTP1 tensor container and feature/matrix CSV.
+"""File formats: the HOTP1 tensor container and the one CSV dialect.
 
 HOTP1 layout, all little-endian:
 
@@ -8,9 +8,17 @@ HOTP1 layout, all little-endian:
     next 4*r     dims as u32
     rest         float64 coefficients, row-major
 
-Feature CSV holds one vector per row. A header row is optional; when present
-and its last column is named `weight`, that column supplies per-row weights.
-Matrix CSV is plain numeric rows with no header.
+Every CSV the package writes is comma-separated, one row per newline-ended
+line. Floats are written as their repr, so they read back bit for bit;
+report and figure rows may also hold integers, `true`/`false`, or an empty
+cell for a missing value. Readers skip blank lines, parse cells with
+float() (so surrounding whitespace, `1_000`, `inf` and `nan` all parse),
+and name the line and column of the first cell that does not.
+
+Feature CSV holds one vector per row. A header row is optional and is
+recognized by a non-numeric cell; when its last column is named `weight`,
+in any letter case, that column supplies per-row weights. Matrix CSV is
+plain numeric rows with no header.
 """
 
 from __future__ import annotations
@@ -63,92 +71,98 @@ def read_tensor(path) -> DenseTensor:
     return DenseTensor(data)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(c) -> str:
+    """One CSV cell: None is empty, str as is, bool true/false, int as
+    digits, and anything else as the repr of its float."""
+    if c is None:
+        return ""
+    if isinstance(c, str):
+        return c
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    if isinstance(c, (int, np.integer)):
+        return str(int(c))
+    return repr(float(c))
 
 
-def _parse_cell(cell: str, line: int, col: int, path) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise InputError(
-            f"{path}: line {line}, column {col}: could not parse {cell!r} as a number"
-        ) from None
-
-
-def read_features_csv(path) -> FeatureSet:
-    """Load a feature CSV, honoring an optional trailing weight column."""
-    with open(path, newline="") as f:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(f)) if row]
-    if not rows:
-        raise InputError(f"{path}: no rows")
-    first = [c.strip() for c in rows[0][1]]
-    has_header = False
-    for cell in first:
-        try:
-            float(cell)
-        except ValueError:
-            has_header = True
-            break
-    has_weights = has_header and first[-1].lower() == "weight"
-    if has_header:
-        ncols = len(first)
-        rows = rows[1:]
-        if not rows:
-            raise InputError(f"{path}: header but no data rows")
-    else:
-        ncols = len(rows[0][1])
-    vectors = []
-    weights = [] if has_weights else None
-    for line, row in rows:
-        if len(row) != ncols:
-            raise InputError(f"{path}: line {line}: expected {ncols} columns, got {len(row)}")
-        vals = [_parse_cell(c.strip(), line, j + 1, path) for j, c in enumerate(row)]
-        if has_weights:
-            vectors.append(vals[:-1])
-            weights.append(vals[-1])
-        else:
-            vectors.append(vals)
-    if len(vectors[0]) < 1:
-        raise InputError(f"{path}: rows have no feature columns")
-    return FeatureSet(np.asarray(vectors), None if weights is None else np.asarray(weights))
-
-
-def write_features_csv(path, features: FeatureSet, include_weights: bool = False) -> None:
-    d = features.dim
-    header = [f"f{j}" for j in range(d)]
-    if include_weights:
-        header.append("weight")
+def write_csv(path, header, rows) -> None:
+    """Write an optional header row, then the rows, one line each."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for i in range(features.count):
-            row = [_fmt(v) for v in features.vectors[i]]
-            if include_weights:
-                row.append(_fmt(features.weights[i]))
-            w.writerow(row)
+        if header:
+            f.write(",".join(map(_cell, header)) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Load a headerless numeric CSV as a 2-d array."""
+def _read_rows(path) -> list:
+    """The non-empty rows of a CSV file, each with its 1-based line number."""
     with open(path, newline="") as f:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(f)) if row]
+        rows = [(line, row) for line, row in enumerate(csv.reader(f), 1) if row]
     if not rows:
         raise InputError(f"{path}: no rows")
-    ncols = len(rows[0][1])
+    return rows
+
+
+def _parse_rows(path, rows: list, ncols: int) -> np.ndarray:
+    """Parse (line, row) pairs of ncols numeric cells into a 2-d array.
+
+    float() strips surrounding whitespace itself; only a row that fails is
+    searched cell by cell, to name the first bad cell.
+    """
     out = []
     for line, row in rows:
         if len(row) != ncols:
             raise InputError(f"{path}: line {line}: expected {ncols} columns, got {len(row)}")
-        out.append([_parse_cell(c.strip(), line, j + 1, path) for j, c in enumerate(row)])
+        try:
+            out.append(list(map(float, row)))
+        except ValueError:
+            for col, cell in enumerate(row, 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InputError(f"{path}: line {line}, column {col}: "
+                                     f"could not parse {cell.strip()!r} as a number") from None
     return np.asarray(out)
+
+
+def read_features_csv(path) -> FeatureSet:
+    """Load a feature CSV, honoring an optional trailing weight column."""
+    rows = _read_rows(path)
+    first = rows[0][1]
+    try:
+        list(map(float, first))
+        has_header = False
+    except ValueError:
+        has_header = True
+    has_weights = has_header and first[-1].strip().lower() == "weight"
+    if has_header:
+        rows = rows[1:]
+        if not rows:
+            raise InputError(f"{path}: header but no data rows")
+    data = _parse_rows(path, rows, len(first))
+    if data.shape[1] - has_weights < 1:
+        raise InputError(f"{path}: rows have no feature columns")
+    if has_weights:
+        return FeatureSet(data[:, :-1], data[:, -1])
+    return FeatureSet(data)
+
+
+def write_features_csv(path, features: FeatureSet, include_weights: bool = False) -> None:
+    header = [f"f{j}" for j in range(features.dim)]
+    rows = features.vectors
+    if include_weights:
+        header.append("weight")
+        rows = np.column_stack([rows, features.weights])
+    write_csv(path, header, rows.tolist())
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Load a headerless numeric CSV as a 2-d array."""
+    rows = _read_rows(path)
+    return _parse_rows(path, rows, len(rows[0][1]))
 
 
 def write_matrix_csv(path, m) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got ndim {m.ndim}")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for row in m:
-            w.writerow([_fmt(v) for v in row])
+    write_csv(path, None, m.tolist())

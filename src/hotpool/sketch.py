@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .tensor import _owned
 
 RNG_NAME = "philox4x64"
 
@@ -46,16 +47,14 @@ class SketchPlan:
             raise InputError(
                 f"output dim {self.output_dim} exceeds input dim {self.input_dim}"
             )
-        b = np.array(self.buckets, dtype=np.int64)
-        s = np.array(self.signs, dtype=np.float64)
+        b = _owned(self.buckets, np.int64)
+        s = _owned(self.signs)
         if b.shape != (self.input_dim,) or s.shape != (self.input_dim,):
             raise InputError("buckets and signs must both have length d")
         if b.min() < 1 or b.max() > self.output_dim:
             raise InputError("bucket indices must lie in 1..d'")
         if not np.all(np.isin(s, (-1.0, 1.0))):
             raise InputError("signs must be +1 or -1")
-        b.flags.writeable = False
-        s.flags.writeable = False
         object.__setattr__(self, "buckets", b)
         object.__setattr__(self, "signs", s)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
+from .tensor import _owned
 
 KINDS = ("gamma", "maxexp", "asinhe", "sigme", "hdp", "grassmann")
 
@@ -75,9 +76,7 @@ class EigenDecomposition:
 
     def __post_init__(self):
         for name in ("values", "vectors"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _owned(getattr(self, name)))
 
 
 def sym_eig(x) -> EigenDecomposition:
@@ -97,8 +96,8 @@ def sym_eig(x) -> EigenDecomposition:
     if np.max(np.abs(x - x.T)) > SYM_TOL * scale:
         raise DomainError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (x + x.T))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0

@@ -42,24 +42,23 @@ class FeatureSet:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=np.float64)
+        v = _owned(self.vectors)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise InputError("vectors must be a nonempty (N, d) array")
         if not np.all(np.isfinite(v)):
             raise InputError("vectors contain non-finite entries")
         n, d = v.shape
-        w = np.ones(n) if self.weights is None else np.array(self.weights, dtype=np.float64)
+        w = _owned(np.ones(n) if self.weights is None else self.weights)
         if w.shape != (n,):
             raise InputError(f"weights must have shape ({n},), got {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise InputError("weights must be finite and nonnegative")
-        m = np.zeros(d) if self.mean is None else np.array(self.mean, dtype=np.float64)
+        m = _owned(np.zeros(d) if self.mean is None else self.mean)
         if m.shape != (d,):
             raise InputError(f"mean must have shape ({d},), got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("mean contains non-finite entries")
         for name, arr in (("vectors", v), ("weights", w), ("mean", m)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -84,14 +83,13 @@ class DenseTensor:
     supersymmetric: bool = False
 
     def __post_init__(self):
-        a = np.array(self.data, dtype=np.float64, order="C")
+        a = _owned(self.data)
         if a.ndim < 1 or a.ndim > MAX_ORDER:
             raise InputError(f"tensor order must be 1..{MAX_ORDER}, got {a.ndim}")
         if any(s < 1 for s in a.shape):
             raise InputError("tensor dimensions must be positive")
         if not np.all(np.isfinite(a)):
             raise InputError("tensor contains non-finite entries")
-        a.flags.writeable = False
         object.__setattr__(self, "data", a)
 
     @property
@@ -121,13 +119,17 @@ def check_supersymmetric(t: DenseTensor, tol: float = SUPERSYM_TOL) -> bool:
     return True
 
 
+def _check_order(r):
+    if not isinstance(r, (int, np.integer)) or not 2 <= r <= MAX_ORDER:
+        raise InputError(f"order must be an integer in 2..{MAX_ORDER}, got {r}")
+
+
 def outer_power(x, r: int) -> DenseTensor:
     """r-fold outer product of a vector with itself."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise InputError("outer_power expects a nonempty vector")
-    if not 2 <= r <= MAX_ORDER:
-        raise InputError(f"order must be 2..{MAX_ORDER}, got {r}")
+    _check_order(r)
     data = x
     for _ in range(r - 1):
         data = np.multiply.outer(data, x)
@@ -149,8 +151,7 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
     in blocks of d^(r-2), so the (block, d^2) Khatri-Rao buffer never holds
     more entries than the result.
     """
-    if not 2 <= r <= MAX_ORDER:
-        raise InputError(f"order must be 2..{MAX_ORDER}, got {r}")
+    _check_order(r)
     phi = features.vectors - features.mean
     w = features.weights
     n, d = phi.shape

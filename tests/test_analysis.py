@@ -303,6 +303,30 @@ def test_detector_curve_validation():
     assert curve[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("sweep, kwargs", [
+    (verify_maxexp_bound, {"etas": []}),
+    (verify_gamma_bound, {"ts": []}),
+    (verify_combined_bound, {"ts": ()}),
+    (verify_maxexp_ode, {"lams": []}),
+    (verify_maxexp_ode, {"ts": np.array([])}),
+    (verify_gamma_ode, {"lam_ls": []}),
+], ids=["maxexp_bound", "gamma_bound", "combined_bound", "maxexp_ode_lams",
+        "maxexp_ode_ts", "gamma_ode"])
+def test_empty_grid_is_an_input_error(sweep, kwargs):
+    # an empty sweep checks nothing, so it must not certify
+    with pytest.raises(InputError, match="empty"):
+        sweep(**kwargs)
+
+
+def test_ode_residuals_reject_non_finite_scale():
+    with pytest.raises(DomainError, match="coefficient scale"):
+        ode_residual_maxexp(0.5, 0.1, coeff_scale=math.nan)
+    with pytest.raises(DomainError, match="coefficient scale"):
+        ode_residual_gamma(2.0, 0.1, coeff_scale=math.inf)
+    with pytest.raises(DomainError):
+        verify_gamma_ode(coeff_scale=math.nan)
+
+
 def test_report_json_schema():
     rep = verify_gamma_bound(ts=[0.1])
     doc = json.loads(report_json(rep))

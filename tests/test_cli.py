@@ -17,6 +17,7 @@ from hotpool import (
     reconstruct,
     tpe_distance,
 )
+from hotpool.cli import main
 from hotpool.io import read_features_csv, read_tensor, write_features_csv, write_matrix_csv, write_tensor
 from hotpool.sketch import apply as sketch_apply
 from hotpool.sketch import make_plan
@@ -259,6 +260,68 @@ def test_figure_fig2_rows(tmp_path):
     assert first[1] == "" and first[2] == "" and first[5] == ""
     assert float(first[3]) == pytest.approx(-np.arcsinh(1.0), rel=1e-15)
     assert float(first[4]) < -0.999999
+
+
+def _is_repr_float(cell: str) -> bool:
+    return cell == repr(float(cell))
+
+
+def test_report_and_figure_csv_cells(tmp_path, capsys):
+    # one dialect: \n-ended rows, repr floats, empty for missing, true/false
+    fig2 = tmp_path / "fig2.csv"
+    assert main(["figure", "--which", "fig2", "--out", str(fig2)]) == 0
+    blob = fig2.read_bytes()
+    assert blob.endswith(b"\n") and b"\r" not in blob
+    lines = blob.decode().split("\n")
+    assert lines[0] == "lambda,gamma,maxexp,asinhe,sigme,hdp"
+    lam, gamma, maxexp, asinhe, sigme, hdp = lines[1].split(",")
+    assert (lam, gamma, maxexp, hdp) == ("-1.0", "", "", "")
+    assert _is_repr_float(asinhe) and _is_repr_float(sigme)
+    assert lines[1 + 1000] == "0.0,0.0,0.0,0.0,0.0,0.0"
+
+    for theorem, extra, flag in (("2", ["--eta-max", "1"], "true"),
+                                 ("3", ["--t-scale", "1.1"], "false")):
+        prefix = tmp_path / f"rep{theorem}"
+        main(["verify", "--theorem", theorem, *extra, "--out", str(prefix)])
+        blob = (tmp_path / f"rep{theorem}.csv").read_bytes()
+        assert blob.endswith(b"\n") and b"\r" not in blob
+        header, first = blob.decode().split("\n")[:2]
+        cells = dict(zip(header.split(","), first.split(",")))
+        ok_key = "window_ok" if theorem == "2" else "tangency_ok"
+        assert cells.pop(ok_key) == flag
+        assert all(_is_repr_float(c) for c in cells.values())
+    assert cells["t"] == repr(0.05 / 1.1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "2", "--eta-max", "0"],
+    ["verify", "--theorem", "2", "--eta-max", "-1"],
+    ["figure", "--which", "fig1", "--n", "0"],
+    ["figure", "--which", "fig1", "--n", "-5"],
+    ["figure", "--which", "fig4b", "--theta-step", "0"],
+    ["figure", "--which", "fig4b", "--theta-step", "-1"],
+    ["figure", "--which", "fig4b", "--theta-step", "nan"],
+    ["figure", "--which", "fig4b", "--theta-step", "inf"],
+    ["figure", "--which", "fig4b", "--theta-step", "2"],
+], ids=" ".join)
+def test_empty_or_invalid_grids_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "fig.csv"
+    if argv[0] == "figure":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem", ["4", "5"])
+def test_verify_ode_non_finite_scale_exits_3(capsys, theorem):
+    assert main(["verify", "--theorem", theorem, "--t-scale", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coefficient scale must be finite" in captured.err
 
 
 def test_figure_fig4b_peak_and_endpoints(tmp_path):

@@ -13,6 +13,7 @@ from hotpool import (
     PnSpec,
     apply_epn_core,
     core_coefficient,
+    core_coefficient_grad,
     detector_likelihood,
     frobenius_norm,
     hosvd_supersym,
@@ -166,6 +167,22 @@ def test_detector_likelihood_monotonicity():
     out = [detector_likelihood(0.3 * k, k, n) for n in ns]
     assert np.all(np.diff(out) > 0)
     assert all(-1.0 <= v <= 1.0 for v in out)
+
+
+def test_nan_direction_is_a_domain_error():
+    # a NaN norm fails every comparison, so the unit check must not pass it
+    u = np.array([1.0, 0.0, 0.0])
+    fs = FeatureSet(np.eye(3))
+    bad = np.array([np.nan, 0.0, 0.0])
+    for fn in (core_coefficient, core_coefficient_grad):
+        with pytest.raises(DomainError, match="unit norm"):
+            fn(fs, u, bad, u)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_detector_likelihood_rejects_non_finite(lam):
+    with pytest.raises(DomainError, match="finite"):
+        detector_likelihood(lam, 0.5, 3)
 
 
 def test_detector_likelihood_clamp_and_errors():

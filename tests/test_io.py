@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from hotpool import DenseTensor, FeatureSet, InputError
@@ -8,8 +11,13 @@ from hotpool.io import (
     read_matrix_csv,
     read_tensor,
     write_features_csv,
+    write_csv,
     write_matrix_csv,
     write_tensor,
+)
+
+READERS = pytest.mark.parametrize(
+    "reader", [read_features_csv, read_matrix_csv], ids=lambda f: f.__name__
 )
 
 
@@ -98,18 +106,40 @@ def test_features_csv_header_without_weight(tmp_path):
     assert_allclose(fs.weights, [1.0])
 
 
-def test_features_csv_parse_error_coordinates(tmp_path):
+@READERS
+def test_features_csv_parse_error_coordinates(tmp_path, reader):
     p = tmp_path / "f.csv"
     p.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(InputError, match=r"line 2, column 2"):
-        read_features_csv(p)
+        reader(p)
+    # blank lines still count, the cell shows without its whitespace, and
+    # the width check comes first
+    p.write_text("1.0,2.0\n\n3.0, oops \n")
+    with pytest.raises(
+        InputError, match=r"f\.csv: line 3, column 2: could not parse 'oops' as a number$"
+    ):
+        reader(p)
+    p.write_text("1.0,2.0\n\n3.0, oops ,x\n")
+    with pytest.raises(InputError, match=r"line 3: expected 2 columns, got 3$"):
+        reader(p)
 
 
-def test_features_csv_ragged_row(tmp_path):
+@READERS
+def test_features_csv_ragged_row(tmp_path, reader):
     p = tmp_path / "f.csv"
     p.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(InputError, match="line 2"):
-        read_features_csv(p)
+    with pytest.raises(InputError, match=r"line 2: expected 2 columns, got 1$"):
+        reader(p)
+
+
+@READERS
+def test_csv_accepts_what_float_accepts(tmp_path, reader):
+    p = tmp_path / "f.csv"
+    p.write_text(" 1.5 ,1_000\r\n\n-0.0,\t3e0 \n")
+    back = reader(p)
+    vectors = back.vectors if reader is read_features_csv else back
+    assert vectors.tolist() == [[1.5, 1000.0], [-0.0, 3.0]]
+    assert np.signbit(vectors[1, 0])
 
 
 def test_features_csv_empty(tmp_path):
@@ -117,6 +147,36 @@ def test_features_csv_empty(tmp_path):
     p.write_text("")
     with pytest.raises(InputError, match="no rows"):
         read_features_csv(p)
+
+
+def test_features_csv_weight_header_any_case(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text(" a , WEIGHT \n1.0,0.5\n2.0,0.25\n")
+    fs = read_features_csv(p)
+    assert fs.vectors.tolist() == [[1.0], [2.0]]
+    assert fs.weights.tolist() == [0.5, 0.25]
+    p.write_text("weight\n1.0\n")
+    with pytest.raises(InputError, match="no feature columns"):
+        read_features_csv(p)
+    p.write_text("a,weight\n")
+    with pytest.raises(InputError, match="header but no data rows"):
+        read_features_csv(p)
+
+
+def test_write_csv_cell_rules(tmp_path):
+    p = tmp_path / "r.csv"
+    rows = [
+        [None, "x", True, False, 3, np.int64(-4), 0.1, np.float64(2.5), np.float32(0.5)],
+        [1e-310, -0.0, 1e22, float("inf"), float("nan"), 7, "", None, 12345678901234567890],
+    ]
+    write_csv(p, list("abcdefghi"), rows)
+    assert p.read_bytes() == (
+        b"a,b,c,d,e,f,g,h,i\n"
+        b",x,true,false,3,-4,0.1,2.5,0.5\n"
+        b"1e-310,-0.0,1e+22,inf,nan,7,,,12345678901234567890\n"
+    )
+    write_csv(p, None, [[1.0, 2]])
+    assert p.read_bytes() == b"1.0,2\n"
 
 
 def test_features_csv_roundtrip_with_weights(tmp_path):
@@ -129,14 +189,22 @@ def test_features_csv_roundtrip_with_weights(tmp_path):
     assert np.array_equal(back.weights, fs.weights)
 
 
-def test_matrix_csv_roundtrip_exact(tmp_path):
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308]]))
+def test_matrix_csv_roundtrip_exact(tmp_path, m):
     # repr-based formatting must survive the decimal roundtrip bit for bit
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(3, 5))
-    m[0, 0] = 0.1
     p = tmp_path / "m.csv"
     write_matrix_csv(p, m)
-    assert np.array_equal(read_matrix_csv(p), m)
+    assert p.read_text() == "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+    back = read_matrix_csv(p)
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
 
 
 def test_matrix_csv_rejects_vector():

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from hotpool import (
     DenseTensor,
     FeatureSet,
+    HosvdFactors,
     InputError,
+    SketchPlan,
     check_supersymmetric,
     frobenius_norm,
     inner,
@@ -15,6 +17,7 @@ from hotpool import (
     outer_power,
     pool,
     refold,
+    sym_eig,
     unfold,
 )
 
@@ -246,6 +249,48 @@ def test_unfold_refold_roundtrip(shape):
 def test_refold_shape_check():
     with pytest.raises(InputError):
         refold(np.zeros((3, 5)), 1, (3, 2, 2))
+
+
+@pytest.mark.parametrize("r", [3.0, 2.5, "3", None, 1, 5, np.int64(5)])
+def test_order_must_be_an_integer_in_range(r):
+    fs = FeatureSet(np.eye(2))
+    with pytest.raises(InputError, match="order must be an integer in 2..4"):
+        pool(fs, r)
+    with pytest.raises(InputError, match="order must be an integer in 2..4"):
+        outer_power([1.0, 2.0], r)
+
+
+def test_numpy_integer_order_accepted():
+    x = np.array([1.0, 2.0])
+    assert outer_power(x, np.int64(3)).dims == (2, 2, 2)
+    assert pool(FeatureSet([x]), np.int32(2)).dims == (2, 2)
+
+
+def _record_arrays():
+    f = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    sq = np.asfortranarray(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    buckets, signs = np.array([1, 2, 1]), np.array([1.0, -1.0, 1.0])
+    fs = FeatureSet(f, np.ones(2), np.zeros(3))
+    plan = SketchPlan(3, 2, buckets, signs)
+    eig = sym_eig(sq)
+    hf = HosvdFactors(sq, f, 1.0)
+    return [
+        (fs.vectors, f), (fs.weights, None), (fs.mean, None),
+        (DenseTensor(f).data, f), (hf.core, sq), (hf.factor, f),
+        (eig.values, None), (eig.vectors, None),
+        (plan.buckets, buckets), (plan.signs, signs),
+    ]
+
+
+def test_records_own_read_only_c_arrays():
+    # every record copies into a fresh C-ordered array that cannot be written
+    for arr, source in _record_arrays():
+        assert not arr.flags.writeable
+        assert arr.flags.c_contiguous
+        if source is not None:
+            assert not np.shares_memory(arr, source)
+            assert np.array_equal(arr, source)
+    assert _record_arrays()[-2][0].dtype == np.int64
 
 
 def test_feature_set_validation():
