@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, InputError
-from .spectral import PnSpec, pn_scalar
+from .spectral import _OPS, PnSpec, pn_scalar
 
 E = math.e
 
@@ -222,18 +222,6 @@ def _local_minima(lam: np.ndarray, gap: np.ndarray, tol: float = TOUCH_TOL) -> l
     return out
 
 
-def _saturation(lam, eta: float):
-    return 1.0 - (1.0 - lam) ** eta
-
-
-def _power(lam, gamma: float):
-    return lam**gamma
-
-
-def _decay(lam, t: float):
-    return np.exp(-t / lam)
-
-
 def _gap_stats(lam: np.ndarray, gap: np.ndarray) -> tuple[float, float, float]:
     """(min_gap, max_gap, worst_lambda) of one swept curve."""
     return float(gap.min()), float(gap.max()), float(lam[int(np.argmin(gap))])
@@ -271,18 +259,19 @@ def _maxexp_curve(eta: float, t_scale: float, lam_step: float):
     if not t_eff < 1.0:
         raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
     eps1, eps2 = bound_gaps(eta)
+    sat, decay = _OPS["maxexp"].g, _OPS["hdp"].g
     lam = _grid_open(t_eff, 1.0, lam_step)
-    gap = _saturation(lam, eta) - _decay(lam, t_eff)
+    gap = sat(lam, eta) - decay(lam, t_eff)
     w_hi = 1.0 / (eta + 1.0)
-    window = [float(_saturation(t_eff, eta) - _decay(t_eff, t_eff))]
+    window = [float(sat(t_eff, eta) - decay(t_eff, t_eff))]
     if t_eff < w_hi:
-        window.append(float(_saturation(w_hi, eta) - _decay(w_hi, t_eff)))
+        window.append(float(sat(w_hi, eta) - decay(w_hi, t_eff)))
         window.extend(gap[lam <= w_hi].tolist())
     window_max = max(window)
     beyond_min = None
     if eta.is_integer():
         lam_b = _grid_open(1.0, 10.0, 1e-2)
-        beyond_min = float((_saturation(lam_b, eta) - _decay(lam_b, t_eff)).min())
+        beyond_min = float((sat(lam_b, eta) - decay(lam_b, t_eff)).min())
     curve_min, curve_max, worst = _gap_stats(lam, gap)
     return lam, gap, {
         "eta": eta,
@@ -322,10 +311,11 @@ def _gamma_curve(t: float, t_scale: float, lam_step: float):
     if gamma > 1.0:
         raise DomainError(f"t = {t} maps to exponent {gamma} > 1")
     t_eff = t / t_scale
+    power, decay = _OPS["gamma"].g, _OPS["hdp"].g
     lam = _grid_open(0.0, 1.0, lam_step)
     lam = np.unique(np.append(lam, 1.0 / E))
-    gap = _power(lam, gamma) - _decay(lam, t_eff)
-    tangency = abs(float(_power(1.0 / E, gamma) - _decay(1.0 / E, t_eff)))
+    gap = power(lam, gamma) - decay(lam, t_eff)
+    tangency = abs(float(power(1.0 / E, gamma) - decay(1.0 / E, t_eff)))
     curve_min, curve_max, worst = _gap_stats(lam, gap)
     return lam, gap, {
         "t": t_eff,
@@ -361,11 +351,12 @@ def _combined_curve(t: float, t_scale: float, lam_step: float):
     t_eff = t / t_scale
     if not t_eff < 1.0:
         raise DomainError(f"scaled time constant {t_eff} leaves no grid in (t, 1]")
+    sat, power, decay = _OPS["maxexp"].g, _OPS["gamma"].g, _OPS["hdp"].g
     lam = _grid_open(t_eff, 1.0, lam_step)
     if t_eff < 1.0 / E:
         lam = np.unique(np.append(lam, 1.0 / E))
-    envelope = np.minimum(_saturation(lam, eta), _power(lam, gamma))
-    gap = envelope - _decay(lam, t_eff)
+    envelope = np.minimum(sat(lam, eta), power(lam, gamma))
+    gap = envelope - decay(lam, t_eff)
     curve_min, curve_max, worst = _gap_stats(lam, gap)
     return lam, gap, {
         "t": t_eff,
@@ -543,5 +534,5 @@ def detector_curve(thetas, eta: float, kappa: float = 2.0) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    responses = 1.0 - (1.0 - np.clip(p, 0.0, 1.0)) ** eta
+    responses = _OPS["maxexp"].g(np.clip(p, 0.0, 1.0), eta)
     return np.column_stack([thetas, responses])

@@ -70,15 +70,13 @@ def _write_svg(path, xs, series, title: str) -> None:
         f'<line x1="{pad:.1f}" y1="{pad:.1f}" x2="{pad:.1f}" '
         f'y2="{height - pad:.1f}" stroke="black"/>',
     ]
-    for k, (lo, hi, fx, fy, anchor) in enumerate((
+    for lo, hi, fx, fy, anchor in (
         (x_lo, x_hi, sx, lambda _: height - pad + 16.0, "middle"),
         (y_lo, y_hi, lambda _: pad - 6.0, sy, "end"),
-    )):
+    ):
         for v in (lo, hi):
-            x = fx(v) if k == 0 else pad - 6.0
-            y = fy(v) if k == 1 else height - pad + 16.0
             parts.append(
-                f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
+                f'<text x="{fx(v):.1f}" y="{fy(v):.1f}" text-anchor="{anchor}" '
                 f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
             )
     for k, (name, ys) in enumerate(series):
@@ -357,12 +355,9 @@ def _figure_fig2(args) -> tuple[list, list, list, str]:
     }
     cols = {}
     for name, spec in specs.items():
-        values = np.full(lam.shape, np.nan)
-        if name in ("asinhe", "sigme"):
-            values = spectral.pn_scalar(lam, spec)
-        else:
-            values[nonneg] = spectral.pn_scalar(lam[nonneg], spec)
-        cols[name] = values
+        domain = nonneg if name in spectral.SPSD_KINDS else slice(None)
+        cols[name] = np.full(lam.shape, np.nan)
+        cols[name][domain] = spectral.pn_scalar(lam[domain], spec)
     header = ["lambda"] + list(specs)
     rows = []
     for k, x in enumerate(lam):

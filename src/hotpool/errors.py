@@ -14,4 +14,5 @@ class DomainError(ValueError):
 
 
 class DegenerateSpectrumError(DomainError):
-    """Eigenvalue collision too tight for derivative formulas to apply."""
+    """Eigenvalue collision too tight for derivative formulas to apply or for
+    a rank-q eigenspace projector to be well defined."""

@@ -22,6 +22,7 @@ from .spectral import (
     SPSD_KINDS,
     EigenDecomposition,
     PnSpec,
+    _pn_deriv,
     _spsd_values,
     pn_scalar,
     sym_eig,
@@ -43,20 +44,14 @@ def _check_simple(values: np.ndarray, i: int | None = None) -> None:
     scale = max(float(np.max(np.abs(values))), np.finfo(np.float64).tiny)
     diffs = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(diffs, np.inf)
-    if i is not None:
-        gaps = diffs[i]
-        j = int(np.argmin(gaps))
-        if gaps[j] <= EIG_GAP_REL * scale:
-            raise DegenerateSpectrumError(
-                f"eigenvalues {i + 1} and {j + 1} are separated by {gaps[j]:.3e}, "
-                f"below {EIG_GAP_REL:g} of the spectral radius {scale:.3e}"
-            )
-        return
-    a, b = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
-    if diffs[a, b] <= EIG_GAP_REL * scale:
+    rows = diffs if i is None else diffs[[i]]
+    a, b = np.unravel_index(int(np.argmin(rows)), rows.shape)
+    gap = rows[a, b]
+    if gap <= EIG_GAP_REL * scale:
+        first = a + 1 if i is None else i + 1
         raise DegenerateSpectrumError(
-            f"eigenvalues {min(a, b) + 1} and {max(a, b) + 1} are separated by "
-            f"{diffs[a, b]:.3e}, below {EIG_GAP_REL:g} of the spectral radius {scale:.3e}"
+            f"eigenvalues {first} and {b + 1} are separated by {gap:.3e}, "
+            f"below {EIG_GAP_REL:g} of the spectral radius {scale:.3e}"
         )
 
 
@@ -107,27 +102,6 @@ def eig_vector_grad(x, i: int, j: int) -> np.ndarray:
     p = _pinv_shifted(eig, j - 1)
     g = np.outer(p[:, i - 1], eig.vectors[:, j - 1])
     return 0.5 * (g + g.T)
-
-
-def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
-    """Pointwise derivative g'(lambda) for differentiable kinds."""
-    p = spec.param
-    if spec.kind == "gamma":
-        if values.min() <= 0.0:
-            raise DomainError("gamma derivative needs a strictly positive spectrum")
-        return p * values ** (p - 1.0)
-    if spec.kind == "maxexp":
-        return p * (1.0 - values) ** (p - 1.0)
-    if spec.kind == "asinhe":
-        return p / np.sqrt(1.0 + (p * values) ** 2)
-    if spec.kind == "sigme":
-        th = np.tanh(0.5 * p * values)
-        return 0.5 * p * (1.0 - th * th)
-    if spec.kind == "hdp":
-        if values.min() <= 0.0:
-            raise DomainError("hdp derivative needs a strictly positive spectrum")
-        return (p / values**2) * np.exp(-p / values)
-    raise DomainError(f"{spec.kind} has no pointwise derivative")
 
 
 def _checked_upstream(upstream, d: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .spectral import PnSpec, _rank_cutoff, sym_eig
+from .spectral import _OPS, PnSpec, _rank_cutoff, sym_eig
 from .tensor import DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
@@ -151,7 +151,7 @@ def detector_likelihood(lam: float, kappa: float, n: float) -> float:
                 stacklevel=2,
             )
         mag = kappa
-    return float(np.sign(lam) * (1.0 - (1.0 - mag / kappa) ** n))
+    return float(np.sign(lam) * _OPS["maxexp"].g(mag / kappa, n))
 
 
 def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
@@ -166,6 +166,7 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
         raise DomainError(
             f"core normalization needs an odd operator (maxexp or sigme), got {spec.kind}"
         )
+    g = _OPS[spec.kind].g
     x = f.core / f.kappa
     if spec.kind == "maxexp":
         excess = float(np.max(np.abs(f.core))) - f.kappa if f.core.size else 0.0
@@ -175,10 +176,11 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
                 "all-distinct-index entries, and a repeated-index entry can exceed it "
                 "even for unit-norm inputs (use sigme)"
             )
-        x = np.clip(x, -1.0, 1.0)
-        out = np.sign(x) * (1.0 - (1.0 - np.abs(x)) ** spec.param)
+        np.clip(x, -1.0, 1.0, out=x)
+        sign = np.sign(x)
+        out = sign * g(np.abs(x, out=x), spec.param)
     else:
-        out = np.tanh(0.5 * spec.param * x)
+        out = g(x, spec.param)
     return HosvdFactors(out, f.factor, f.kappa)
 
 

@@ -10,23 +10,52 @@ matrix X = U diag(lambda) U^T:
     hdp       g(x) = e^(-t/x) for x > 0, g(0) = 0, t > 0
     grassmann rank-q eigenspace projector, not a pointwise map
 
+The private table _OPS is the one definition of this family: each kind's
+domain, map g(x, p) and derivative g'(x, p). g and g' check nothing, so
+callers with validated input call them directly; pn_scalar and _pn_deriv
+are the checked entry points.
+
 The matrix map is epn_matrix(X) = U diag(g(lambda)) U^T.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DegenerateSpectrumError, DomainError, InputError
 from .tensor import _owned
 
-KINDS = ("gamma", "maxexp", "asinhe", "sigme", "hdp", "grassmann")
+# domains of the pointwise maps
+_UNIT = (0.0, 1.0)
+_HALF_LINE = (0.0, math.inf)
+_REAL = (-math.inf, math.inf)
+
+_Op = namedtuple("_Op", "domain g dg")
+
+_OPS = {
+    "gamma": _Op(_HALF_LINE, lambda x, p: x**p, lambda x, p: p * x ** (p - 1.0)),
+    "maxexp": _Op(_UNIT, lambda x, p: 1.0 - (1.0 - x) ** p,
+                  lambda x, p: p * (1.0 - x) ** (p - 1.0)),
+    "asinhe": _Op(_REAL, lambda x, p: np.arcsinh(p * x),
+                  lambda x, p: p / np.sqrt(1.0 + (p * x) ** 2)),
+    # tanh(p*x/2) equals 2/(1+exp(-p*x)) - 1 and never overflows
+    "sigme": _Op(_REAL, lambda x, p: np.tanh(0.5 * p * x),
+                 lambda x, p: 0.5 * p * (1.0 - np.square(np.tanh(0.5 * p * x)))),
+    # below x = t/1000, e^(-t/x) underflows to 0 anyway, so the floor is exact;
+    # it keeps 0, -0.0 and subnormal x from dividing by zero or overflowing
+    "hdp": _Op(_HALF_LINE, lambda x, t: np.exp(-t / np.maximum(x, t / 1000.0)),
+               lambda x, t: (t / x**2) * np.exp(-t / x)),
+}
+
+KINDS = (*_OPS, "grassmann")
 
 # kinds whose domain is the SPSD cone; tiny negative eigenvalues from
 # rounding are clamped to zero up to this bound
-SPSD_KINDS = frozenset({"gamma", "maxexp", "hdp", "grassmann"})
+SPSD_KINDS = frozenset({k for k, op in _OPS.items() if op.domain != _REAL} | {"grassmann"})
 SPSD_EIG_TOL = 1e-10
 
 # relative symmetry tolerance for sym_eig
@@ -105,32 +134,40 @@ def sym_eig(x) -> EigenDecomposition:
 
 
 def pn_scalar(lam, spec: PnSpec):
-    """Apply the pointwise map to a scalar or array of eigenvalues."""
+    """Apply the pointwise map to a scalar or array of eigenvalues.
+
+    The values are checked against the kind's domain in _OPS; an excess of
+    at most 1e-12 above a finite upper end is clamped before g is applied.
+    """
     if spec.kind == "grassmann":
         raise DomainError("grassmann is a subspace projector, not a pointwise map")
     arr = np.asarray(lam, dtype=np.float64)
-    scalar = arr.ndim == 0
     if not np.all(np.isfinite(arr)):
         raise DomainError("eigenvalues must be finite")
-    p = spec.param
-    if spec.kind in ("gamma", "maxexp", "hdp") and arr.min() < 0:
+    op = _OPS[spec.kind]
+    lo, hi = op.domain
+    if np.any(arr < lo):
         raise DomainError(f"{spec.kind} requires nonnegative eigenvalues")
-    if spec.kind == "gamma":
-        out = arr**p
-    elif spec.kind == "maxexp":
-        if arr.max() > 1.0 + _UPPER_SLACK:
-            raise DomainError("maxexp requires eigenvalues <= 1; normalize the spectrum first")
-        out = 1.0 - (1.0 - np.minimum(arr, 1.0)) ** p
-    elif spec.kind == "asinhe":
-        out = np.arcsinh(p * arr)
-    elif spec.kind == "sigme":
-        # tanh(p*x/2) equals 2/(1+exp(-p*x)) - 1 and never overflows
-        out = np.tanh(0.5 * p * arr)
-    else:  # hdp
-        out = np.zeros_like(arr)
-        pos = arr > 0
-        out[pos] = np.exp(-p / arr[pos])
-    return float(out) if scalar else out
+    if np.any(arr > hi + _UPPER_SLACK):
+        raise DomainError(
+            f"{spec.kind} requires eigenvalues <= {hi:g}; normalize the spectrum first"
+        )
+    out = op.g(np.minimum(arr, hi), spec.param)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
+    """Pointwise derivative g'(lambda) for differentiable kinds.
+
+    The half-line kinds need a strictly positive spectrum: gamma's
+    p x^(p-1) is singular at zero and hdp's (t/x^2) e^(-t/x) undefined.
+    """
+    op = _OPS.get(spec.kind)
+    if op is None:
+        raise DomainError(f"{spec.kind} has no pointwise derivative")
+    if op.domain == _HALF_LINE and np.any(values <= 0.0):
+        raise DomainError(f"{spec.kind} derivative needs a strictly positive spectrum")
+    return op.dg(values, spec.param)
 
 
 def normalize_spectrum(values) -> np.ndarray:
@@ -190,7 +227,7 @@ def grassmann_map(x, q: int) -> np.ndarray:
         raise DomainError(f"subspace rank {q} must be below the matrix rank {rank}")
     sep = vals[q - 1] - vals[q]
     if sep <= GRASSMANN_SEP_TOL:
-        raise DomainError(
+        raise DegenerateSpectrumError(
             f"eigenvalues {q} and {q + 1} are separated by only {sep:.3e}; "
             "the projector is not well defined"
         )

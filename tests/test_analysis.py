@@ -344,3 +344,28 @@ def test_grid_open_endpoints():
     assert lam.min() > 0.0
     lam = _grid_open(0.3954, 1.0, 1e-4)
     assert np.all(lam > 0.3954)
+
+
+def test_detector_curve_matches_reference_exactly():
+    thetas = np.linspace(0.0, math.pi / 2, 157)
+    for eta in (1.0, 4.0, 20.0):
+        for kappa in (0.5, 1.0, 2.0):
+            p = kappa * np.sin(thetas) * np.cos(thetas)
+            ref = 1.0 - (1.0 - np.clip(p, 0.0, 1.0)) ** eta
+            curve = detector_curve(thetas, eta, kappa)
+            assert np.array_equal(curve[:, 1], ref)
+
+
+def test_sweep_gaps_match_reference_exactly():
+    # the bound sweeps evaluate the saturation, power and decay profiles as
+    # 1-(1-lam)^eta, lam^gamma and exp(-t/lam)
+    from hotpool.analysis import _combined_curve, _gamma_curve, _maxexp_curve
+
+    lam, gap, _ = _maxexp_curve(3.0, 1.0, 1e-3)
+    t = t_of_eta(3.0)
+    assert np.array_equal(gap, 1.0 - (1.0 - lam) ** 3.0 - np.exp(-t / lam))
+    lam, gap, _ = _gamma_curve(0.2, 1.0, 1e-3)
+    assert np.array_equal(gap, lam ** gamma_of_t(0.2) - np.exp(-0.2 / lam))
+    lam, gap, row = _combined_curve(0.1, 1.0, 1e-3)
+    envelope = np.minimum(1.0 - (1.0 - lam) ** row["eta"], lam ** row["gamma"])
+    assert np.array_equal(gap, envelope - np.exp(-0.1 / lam))

@@ -100,6 +100,19 @@ def test_epn_rejects_spectrum_above_one(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_epn_ill_separated_grassmann_exits_4(tmp_path):
+    src = tmp_path / "x.bin"
+    write_tensor(str(src), DenseTensor(np.diag([2.0, 2.0 - 5e-9, 1.0])))
+    out = tmp_path / "y.bin"
+    res = run_cli("epn", src, "--spec", "grassmann:1", "--out", out)
+    assert res.returncode == 4
+    assert "separated" in res.stderr
+    assert not out.exists()
+    # a rank too large for the matrix is still a domain violation
+    res = run_cli("epn", src, "--spec", "grassmann:3", "--out", out)
+    assert res.returncode == 3
+
+
 def test_epn_normalize_rejected_for_order3(tmp_path):
     rng = np.random.default_rng(10)
     src = tmp_path / "t.bin"

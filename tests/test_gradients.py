@@ -19,8 +19,8 @@ from hotpool import (
     sym_eig,
     unfolded_factor_vjp,
 )
-from hotpool.gradients import _pinv_shifted, _pn_deriv
-from hotpool.spectral import SPSD_KINDS, _spsd_values, pn_scalar
+from hotpool.gradients import _check_simple, _pinv_shifted
+from hotpool.spectral import SPSD_KINDS, _pn_deriv, _spsd_values, pn_scalar
 
 
 def _spd(seed, d, lo=0.2, hi=0.95):
@@ -50,6 +50,18 @@ def test_eig_value_grad_finite_diff():
     for i in (1, 3, 6):
         oracle = finite_diff_oracle(lambda m, k=i: np.float64(sym_eig(m).values[k - 1]), x)
         assert _rel_err(eig_value_grad(x, i), oracle.jac) < 1e-6
+
+
+@pytest.mark.parametrize("i,pair", [(None, "2 and 3"), (2, "3 and 2"), (1, "2 and 3")])
+def test_check_simple_messages(i, pair):
+    values = np.array([3.0, 2.0, 2.0 - 1e-9, 1.0])
+    with pytest.raises(DegenerateSpectrumError) as exc:
+        _check_simple(values, i)
+    assert str(exc.value) == (
+        f"eigenvalues {pair} are separated by 1.000e-09, "
+        "below 1e-06 of the spectral radius 3.000e+00"
+    )
+    _check_simple(values, 0)
 
 
 def test_eig_value_grad_degenerate():

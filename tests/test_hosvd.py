@@ -369,3 +369,45 @@ def test_tpe_distance_metric_properties():
     )
     with pytest.raises(InputError):
         tpe_distance(ga, reconstruct(_epn_pipeline(47, 5)))
+
+
+def _ref_core(core, kappa, spec):
+    """The core maps written out: signed saturation and tanh of core/kappa."""
+    x = core / kappa
+    if spec.kind == "maxexp":
+        x = np.clip(x, -1.0, 1.0)
+        return np.sign(x) * (1.0 - (1.0 - np.abs(x)) ** spec.param)
+    return np.tanh(0.5 * spec.param * x)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("spec", [PnSpec("maxexp", 1.0), PnSpec("maxexp", 7.5),
+                                  PnSpec("sigme", 1.0), PnSpec("sigme", 40.0)])
+def test_apply_epn_core_matches_reference_exactly(r, spec):
+    k = kappa_for_order(r)
+    rng = np.random.default_rng(100 + r)
+    core = rng.uniform(-k, k, size=(3,) * r)
+    flat = core.reshape(-1)
+    # exact peaks, signed zeros, and a sub-tolerance excess that is clipped
+    flat[:5] = [k, -k, 0.0, -0.0, k + 1e-12]
+    f = HosvdFactors(core, np.eye(4, 3), k)
+    got = apply_epn_core(f, spec).core
+    assert np.array_equal(got, _ref_core(core, k, spec))
+
+
+def test_apply_epn_core_pooled_matches_reference_exactly():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(40, 4))
+    x *= 0.5 / np.linalg.norm(x, axis=1, keepdims=True)
+    for r in (2, 3, 4):
+        f = hosvd_supersym(pool(FeatureSet(x), r))
+        for spec in (PnSpec("maxexp", 6.0), PnSpec("sigme", 6.0)):
+            assert np.array_equal(apply_epn_core(f, spec).core, _ref_core(f.core, f.kappa, spec))
+
+
+def test_detector_likelihood_matches_reference_exactly():
+    for kappa in (kappa_for_order(3), 0.5, 2.0):
+        for n in (1, 2, 3.5, 20):
+            for lam in np.linspace(-kappa, kappa, 41):
+                ref = float(np.sign(lam) * (1.0 - (1.0 - abs(lam) / kappa) ** n))
+                assert detector_likelihood(lam, kappa, n) == ref

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hotpool import (
+    DegenerateSpectrumError,
     DomainError,
     InputError,
     PnSpec,
@@ -19,6 +20,7 @@ from hotpool import (
     precision_laplacian,
     sym_eig,
 )
+from hotpool.spectral import KINDS, SPSD_KINDS, _pn_deriv
 
 
 def _spd(seed, d, lo=0.2, hi=0.95):
@@ -69,6 +71,9 @@ def test_pn_scalar_values():
     assert_allclose(pn_scalar(0.2, PnSpec("hdp", 0.2)), math.exp(-1.0), rtol=1e-15)
     assert pn_scalar(0.0, PnSpec("hdp", 0.3)) == 0.0
     assert pn_scalar(0.0, PnSpec("sigme", 7)) == 0.0
+    # the upper slack clamps to 1; hdp maps signed zeros and a subnormal to zero
+    assert pn_scalar(1.0 + 1e-13, PnSpec("maxexp", 3.0)) == 1.0
+    assert pn_scalar(np.array([0.0, -0.0, 1e-310]), PnSpec("hdp", 0.2)).tolist() == [0.0] * 3
 
 
 def test_pn_scalar_odd_extensions():
@@ -99,14 +104,18 @@ def test_maxexp_monotone_with_fixed_points():
 
 
 def test_pn_scalar_domain_errors():
-    with pytest.raises(DomainError):
-        pn_scalar(-0.1, PnSpec("gamma", 0.5))
-    with pytest.raises(DomainError):
-        pn_scalar(1.2, PnSpec("maxexp", 2))
-    with pytest.raises(DomainError):
-        pn_scalar(-0.5, PnSpec("hdp", 0.2))
-    with pytest.raises(DomainError):
-        pn_scalar(0.5, PnSpec("grassmann", 1))
+    for lam, spec, message in [
+        (-0.1, PnSpec("gamma", 0.5), "gamma requires nonnegative eigenvalues"),
+        (-0.1, PnSpec("maxexp", 2), "maxexp requires nonnegative eigenvalues"),
+        (1.2, PnSpec("maxexp", 2),
+         "maxexp requires eigenvalues <= 1; normalize the spectrum first"),
+        (-0.5, PnSpec("hdp", 0.2), "hdp requires nonnegative eigenvalues"),
+        (np.inf, PnSpec("sigme", 2), "eigenvalues must be finite"),
+        (0.5, PnSpec("grassmann", 1), "grassmann is a subspace projector, not a pointwise map"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            pn_scalar(lam, spec)
+        assert str(exc.value) == message
 
 
 def test_pn_spec_validation():
@@ -222,7 +231,7 @@ def test_grassmann_map_projector_properties():
 def test_grassmann_map_errors():
     with pytest.raises(DomainError):
         grassmann_map(np.diag([3.0, 2.0, 1.0]), 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateSpectrumError, match="separated by only"):
         grassmann_map(np.diag([2.0, 2.0 - 5e-9, 1.0]), 1)
     with pytest.raises(DomainError):
         grassmann_map(np.diag([3.0, 2.0, 1.0]), 0)
@@ -303,3 +312,50 @@ def test_sigme_bounded_and_odd(lam, p):
     y = pn_scalar(lam, spec)
     assert -1.0 <= y <= 1.0
     assert math.isclose(y, -pn_scalar(-lam, spec), abs_tol=1e-15)
+
+
+def test_kinds_and_spsd_kinds_from_the_table():
+    assert KINDS == ("gamma", "maxexp", "asinhe", "sigme", "hdp", "grassmann")
+    assert SPSD_KINDS == {"gamma", "maxexp", "hdp", "grassmann"}
+
+
+@pytest.mark.parametrize("kind,param", [
+    ("gamma", 0.5), ("maxexp", 4.0), ("asinhe", 1.0), ("sigme", 4.0), ("hdp", 0.2),
+])
+def test_empty_spectrum_maps_to_empty(kind, param):
+    spec = PnSpec(kind, param)
+    for f in (pn_scalar, _pn_deriv):
+        out = f(np.empty(0), spec)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_pn_deriv_rejections():
+    for kind, param in [("gamma", 0.5), ("hdp", 0.2)]:
+        with pytest.raises(DomainError, match=f"{kind} derivative needs a strictly positive"):
+            _pn_deriv(np.array([0.5, 0.0]), PnSpec(kind, param))
+    with pytest.raises(DomainError, match="grassmann has no pointwise derivative"):
+        _pn_deriv(np.array([0.5]), PnSpec("grassmann", 1))
+
+
+# (x range, parameter range) inside each kind's domain
+_DERIV_RANGES = {
+    "gamma": ((1e-2, 5.0), (0.05, 1.0)),
+    "maxexp": ((1e-3, 0.99), (1.0, 64.0)),
+    "asinhe": ((-10.0, 10.0), (0.05, 1.0)),
+    "sigme": ((-10.0, 10.0), (1.0, 64.0)),
+    "hdp": ((1e-2, 5.0), (0.01, 5.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DERIV_RANGES))
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_pn_deriv_matches_central_difference(kind, u, v):
+    (x_lo, x_hi), (p_lo, p_hi) = _DERIV_RANGES[kind]
+    x = x_lo + u * (x_hi - x_lo)
+    spec = PnSpec(kind, p_lo + v * (p_hi - p_lo))
+    h = 1e-7
+    fd = (pn_scalar(x + h, spec) - pn_scalar(x - h, spec)) / (2.0 * h)
+    an = float(_pn_deriv(np.array([x]), spec)[0])
+    assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hotpool import (
@@ -145,6 +147,43 @@ def test_check_supersymmetric_rejects_asymmetric():
     a = np.zeros((2, 2, 2))
     a[0, 1, 1] = 1.0
     assert not check_supersymmetric(DenseTensor(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(2, 3), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0), st.sampled_from([1.0, 50.0]))
+def test_check_supersymmetric_bounds_every_permutation(r, d, seed, noise, scale):
+    # a symmetric tensor plus noise near the tolerance: whenever the adjacent
+    # transpositions pass, every permutation lies within tol
+    rng = np.random.default_rng(seed)
+    a = outer_power(rng.normal(size=d), r).data * scale
+    a = a + noise * 1e-12 * scale * rng.uniform(-1.0, 1.0, size=a.shape)
+    if not check_supersymmetric(DenseTensor(a)):
+        return
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    for perm in itertools.permutations(range(r)):
+        assert np.max(np.abs(a - a.transpose(perm))) <= atol
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_check_supersymmetric_rejects_one_broken_transposition(r):
+    # x (x) ... (x) x (x) y is symmetric under every adjacent swap but the last
+    x, y = np.array([1.0, 0.5]), np.array([0.5, -1.0])
+    a = y
+    for _ in range(r - 1):
+        a = np.multiply.outer(x, a)
+    for k in range(r - 2):
+        assert np.array_equal(a, a.swapaxes(k, k + 1))
+    assert not check_supersymmetric(DenseTensor(a))
+
+
+def test_check_supersymmetric_edge_is_tol_over_word_length():
+    # at r = 3 each adjacent swap is held to tol/3: one entry off by
+    # 0.3*tol passes, 0.4*tol (accepted before by the all-permutation check) fails
+    for delta, ok in ((0.3e-12, True), (0.4e-12, False)):
+        a = np.zeros((2, 2, 2))
+        a[0, 1, 0] = delta
+        assert check_supersymmetric(DenseTensor(a)) is ok
 
 
 def test_frobenius_norm_basics():
