@@ -205,21 +205,12 @@ def _grid_open(lo: float, hi: float, step: float) -> np.ndarray:
     return lam
 
 
-def _local_minima(lam: np.ndarray, gap: np.ndarray, tol: float = TOUCH_TOL) -> list:
-    if gap.size < 3:
-        return []
+def _local_minima(lam: np.ndarray, gap: np.ndarray) -> list:
+    """(lambda, gap) at the first point of each run of touching local minima."""
     mid = gap[1:-1]
-    hit = (mid <= gap[:-2]) & (mid <= gap[2:]) & (mid <= tol)
-    idx = np.nonzero(hit)[0] + 1
-    out = []
-    prev = None
-    for i in idx:
-        if prev is not None and i == prev + 1:
-            prev = i
-            continue
-        out.append((float(lam[i]), float(gap[i])))
-        prev = i
-    return out
+    hit = (mid <= gap[:-2]) & (mid <= gap[2:]) & (mid <= TOUCH_TOL)
+    hit[1:] &= ~hit[:-1]
+    return [(float(lam[i]), float(gap[i])) for i in np.nonzero(hit)[0] + 1]
 
 
 def _gap_stats(lam: np.ndarray, gap: np.ndarray) -> tuple[float, float, float]:

@@ -178,115 +178,80 @@ def _draw_spd(rng, d: int) -> np.ndarray:
     return (q * lam) @ q.T
 
 
-def _rel_err(analytic, numeric) -> float:
-    """Relative error |analytic - numeric| / |numeric| in the Frobenius norm."""
-    return float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300))
+def _matrix_input(args, rng) -> np.ndarray:
+    """The --input matrix, or else the seeded SPD draw of dimension --d."""
+    if not args.input:
+        return _draw_spd(rng, args.d)
+    x = io.read_matrix_csv(args.input)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InputError(f"{args.input}: expected a square matrix")
+    return x
 
 
-def _gradcheck_matrix(args, runner) -> dict:
-    rng = np.random.default_rng(args.seed)
-    if args.input:
-        x = io.read_matrix_csv(args.input)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise InputError(f"{args.input}: expected a square matrix")
-        d = x.shape[0]
-    else:
-        d = args.d
-        x = _draw_spd(rng, d)
-    return runner(x, d, rng)
+def _central(loss, x, dirs, h: float = 1e-6) -> np.ndarray:
+    """Central differences of a scalar loss at x along each direction."""
+    return np.array([(loss(x + h * s) - loss(x - h * s)) / (2.0 * h) for s in dirs])
 
 
-def _run_eig_value(args) -> dict:
-    def runner(x, d, rng):
-        analytic = gradients.eig_value_grad(x, 1)
-        oracle = gradients.finite_diff_oracle(
-            lambda m: float(spectral.sym_eig(m).values[0]), x
-        )
-        return {"rel_err": _rel_err(analytic, oracle.jac), "threshold": 1e-6, "d": d}
-
-    return _gradcheck_matrix(args, runner)
+def _check_eig_value(args, rng, spec):
+    x = _matrix_input(args, rng)
+    analytic = gradients.eig_value_grad(x, 1)
+    oracle = gradients.finite_diff_oracle(lambda m: float(spectral.sym_eig(m).values[0]), x)
+    return analytic, oracle.jac, x.shape[0]
 
 
-def _run_eig_vector(args) -> dict:
-    def runner(x, d, rng):
-        i, j = 1, min(2, d)
-        analytic = gradients.eig_vector_grad(x, i, j)
-        oracle = gradients.finite_diff_oracle(
-            lambda m: float(spectral.sym_eig(m).vectors[i - 1, j - 1]), x
-        )
-        return {"rel_err": _rel_err(analytic, oracle.jac), "threshold": 1e-5, "d": d}
-
-    return _gradcheck_matrix(args, runner)
+def _check_eig_vector(args, rng, spec):
+    x = _matrix_input(args, rng)
+    j = min(2, x.shape[0])
+    analytic = gradients.eig_vector_grad(x, 1, j)
+    oracle = gradients.finite_diff_oracle(
+        lambda m: float(spectral.sym_eig(m).vectors[0, j - 1]), x
+    )
+    return analytic, oracle.jac, x.shape[0]
 
 
-def _run_epn_vjp(args) -> dict:
-    spec = _parse_spec(args.spec or "sigme:4")
-
-    def runner(x, d, rng):
-        upstream = rng.normal(size=(d, d))
-        analytic = gradients.epn_matrix_vjp(x, spec, upstream)
-        oracle = gradients.finite_diff_oracle(lambda m: spectral.epn_matrix(m, spec), x)
-        numeric = oracle.vjp(upstream)
-        return {"rel_err": _rel_err(analytic, numeric), "threshold": 1e-5, "d": d,
-                "spec": f"{spec.kind}:{spec.param:g}"}
-
-    return _gradcheck_matrix(args, runner)
-
-
-def _run_factor_vjp(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    d = args.d
-    features = tensor.FeatureSet(rng.normal(size=(2 * d, d)))
-    t = tensor.pool(features, 3)
+def _check_epn_vjp(args, rng, spec):
+    x = _matrix_input(args, rng)
+    d = x.shape[0]
     upstream = rng.normal(size=(d, d))
-    analytic = gradients.unfolded_factor_vjp(t, upstream)
-
-    def loss(data):
-        m1 = data.reshape(d, -1, order="F")
-        eig = spectral.sym_eig(m1 @ m1.T)
-        return float(np.sum(upstream * eig.vectors))
-
-    h = 1e-6
-    a_dirs = []
-    f_dirs = []
-    for _ in range(5):
-        direction = rng.normal(size=t.dims)
-        direction /= np.linalg.norm(direction)
-        a_dirs.append(float(np.sum(analytic.data * direction)))
-        f_dirs.append((loss(t.data + h * direction) - loss(t.data - h * direction))
-                      / (2.0 * h))
-    return {"rel_err": _rel_err(np.asarray(a_dirs), np.asarray(f_dirs)), "threshold": 1e-4, "d": d}
+    analytic = gradients.epn_matrix_vjp(x, spec, upstream)
+    oracle = gradients.finite_diff_oracle(lambda m: spectral.epn_matrix(m, spec), x)
+    return analytic, oracle.vjp(upstream), d
 
 
-def _run_core_grad(args) -> dict:
-    rng = np.random.default_rng(args.seed)
+def _check_factor_vjp(args, rng, spec):
+    d = args.d
+    t = tensor.pool(tensor.FeatureSet(rng.normal(size=(2 * d, d))), 3)
+    upstream = rng.normal(size=(d, d))
+    analytic = gradients.unfolded_factor_vjp(t, upstream).data
+    dirs = [s / np.linalg.norm(s) for s in rng.normal(size=(5,) + t.dims)]
+    numeric = _central(
+        lambda m: float(np.sum(upstream * hosvd._mode1_gram(m)[1].vectors)), t.data, dirs
+    )
+    return np.array([np.sum(analytic * s) for s in dirs]), numeric, d
+
+
+def _check_core_grad(args, rng, spec):
     d = args.d
     features = tensor.FeatureSet(rng.normal(size=(max(4, d), d)))
     q, _ = np.linalg.qr(rng.normal(size=(d, 3)))
-    u, v, w = q[:, 0], q[:, 1], q[:, 2]
+    u, v, w = q.T
     analytic = gradients.core_coefficient_grad(features, u, v, w)
-    h = 1e-6
-    numeric = np.zeros_like(analytic)
-    base = features.vectors
-    for n in range(base.shape[0]):
-        for j in range(d):
-            plus = base.copy()
-            minus = base.copy()
-            plus[n, j] += h
-            minus[n, j] -= h
-            numeric[n, j] = (
-                hosvd.core_coefficient(tensor.FeatureSet(plus), u, v, w)
-                - hosvd.core_coefficient(tensor.FeatureSet(minus), u, v, w)
-            ) / (2.0 * h)
-    return {"rel_err": _rel_err(analytic, numeric), "threshold": 1e-7, "d": d}
+    x = features.vectors
+    one_hot = np.eye(x.size).reshape((x.size,) + x.shape)
+    numeric = _central(
+        lambda m: hosvd.core_coefficient(tensor.FeatureSet(m), u, v, w), x, one_hot
+    )
+    return analytic, numeric.reshape(x.shape), d
 
 
+# op -> (check returning (analytic, numeric, d), threshold on the relative error)
 _GRADCHECK_OPS = {
-    "eig_value_grad": _run_eig_value,
-    "eig_vector_grad": _run_eig_vector,
-    "epn_vjp": _run_epn_vjp,
-    "factor_vjp": _run_factor_vjp,
-    "core_grad": _run_core_grad,
+    "eig_value_grad": (_check_eig_value, 1e-6),
+    "eig_vector_grad": (_check_eig_vector, 1e-5),
+    "epn_vjp": (_check_epn_vjp, 1e-5),
+    "factor_vjp": (_check_factor_vjp, 1e-4),
+    "core_grad": (_check_core_grad, 1e-7),
 }
 
 
@@ -295,19 +260,18 @@ def cmd_gradcheck(args) -> int:
         raise InputError(f"--spec applies to --op epn_vjp only, not {args.op}")
     if args.input is not None and args.op in ("factor_vjp", "core_grad"):
         raise InputError(f"--input does not apply to --op {args.op}, which draws its input")
-    if not args.input and (args.d < 2 or args.d > 32):
-        raise InputError(f"d must be in 2..32, got {args.d}")
-    result = _GRADCHECK_OPS[args.op](args)
-    doc = {
-        "op": args.op,
-        "d": result["d"],
-        "seed": args.seed,
-        "rel_err": result["rel_err"],
-        "threshold": result["threshold"],
-        "pass": result["rel_err"] < result["threshold"],
-    }
-    if "spec" in result:
-        doc["spec"] = result["spec"]
+    # core_grad projects on three orthonormal directions
+    lo = 3 if args.op == "core_grad" else 2
+    if not args.input and not lo <= args.d <= 32:
+        raise InputError(f"d must be in {lo}..32, got {args.d}")
+    spec = _parse_spec(args.spec or "sigme:4") if args.op == "epn_vjp" else None
+    check, threshold = _GRADCHECK_OPS[args.op]
+    analytic, numeric, d = check(args, np.random.default_rng(args.seed), spec)
+    rel_err = float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300))
+    doc = {"op": args.op, "d": d, "seed": args.seed, "rel_err": rel_err,
+           "threshold": threshold, "pass": rel_err < threshold}
+    if spec is not None:
+        doc["spec"] = f"{spec.kind}:{spec.param:g}"
     print(json.dumps(doc, **_JSON_KW))
     return 0 if doc["pass"] else 1
 

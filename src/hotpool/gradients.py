@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DomainError, InputError
-from .hosvd import _unit
+from .hosvd import _mode1_gram, _project
 from .spectral import (
     SPSD_KINDS,
     EigenDecomposition,
@@ -27,7 +27,7 @@ from .spectral import (
     pn_scalar,
     sym_eig,
 )
-from .tensor import DenseTensor, FeatureSet, refold, unfold
+from .tensor import DenseTensor, FeatureSet
 
 EIG_GAP_REL = 1e-6
 
@@ -142,24 +142,23 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
 def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     """Pull a sensitivity on the shared factor back to the tensor.
 
-    The factor U collects eigenvectors of S = M1 M1^T with M1 the mode-1
-    unfolding, so the chain runs U <- S <- M1 <- T. The S step is
-    G = U (F^T o U^T Ubar) U^T with Ubar the upstream, o the entrywise
-    product and F_jk = 1 / (lambda_j - lambda_k) (zero diagonal), the M1
-    step is d(S) = dM M1^T + M1 dM^T, so Mbar = (G + G^T) M1, and the
-    refold inverts the unfolding.
+    The factor U collects eigenvectors of the mode-1 Gram S = M1 M1^T with
+    M1 = T.reshape(d, -1). S and U come from hosvd, the same code that
+    hosvd_supersym factors with. The chain runs U <- S <- M1 <- T. The S
+    step is G = U (F^T o U^T Ubar) U^T with Ubar the upstream, o the
+    entrywise product and F_jk = 1 / (lambda_j - lambda_k) (zero diagonal),
+    the M1 step is d(S) = dM M1^T + M1 dM^T, so Mbar = (G + G^T) M1, and
+    Mbar reshapes back to the dims of T.
     """
     if t.order != 3:
         raise InputError(f"expected an order-3 tensor, got order {t.order}")
-    m1 = unfold(t, 1)
-    gram = m1 @ m1.T
-    eig = sym_eig(gram)
+    m1, eig = _mode1_gram(t.data)
     upstream = _checked_upstream(upstream, eig.values.shape[0])
     _check_simple(eig.values)
     u = eig.vectors
     g_raw = u @ (_gap_inverse(eig.values).T * (u.T @ upstream)) @ u.T
     mbar = (g_raw + g_raw.T) @ m1
-    return refold(mbar, 1, t.dims)
+    return DenseTensor(mbar.reshape(t.dims))
 
 
 def core_coefficient_grad(features: FeatureSet, u, v, w) -> np.ndarray:
@@ -169,15 +168,7 @@ def core_coefficient_grad(features: FeatureSet, u, v, w) -> np.ndarray:
     (1/N) [<phi_n,v><phi_n,w> u + <phi_n,u><phi_n,w> v + <phi_n,u><phi_n,v> w]
     with the directions held fixed.
     """
-    u = _unit(u, "u")
-    v = _unit(v, "v")
-    w = _unit(w, "w")
-    phi = features.vectors
-    if phi.shape[1] != u.shape[0] or v.shape[0] != u.shape[0] or w.shape[0] != u.shape[0]:
-        raise InputError("direction vectors must match the feature dimension")
-    pu = phi @ u
-    pv = phi @ v
-    pw = phi @ w
+    u, v, w, pu, pv, pw = _project(features, u, v, w)
     n = features.count
     return (np.outer(pv * pw, u) + np.outer(pu * pw, v) + np.outer(pu * pv, w)) / n
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .spectral import _OPS, PnSpec, _rank_cutoff, sym_eig
+from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
 from .tensor import DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
@@ -77,16 +77,23 @@ def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return a
 
 
+def _mode1_gram(data: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
+    """Mode-1 rows M1 = data.reshape(d, -1) and the eigenbasis of M1 M1^T.
+
+    M1 is a column permutation of unfold(t, 1), so this is the same Gram
+    without a copy; the shared HOSVD factor and its derivative both use it.
+    """
+    m1 = data.reshape(data.shape[0], -1)
+    return m1, sym_eig(m1 @ m1.T)
+
+
 def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
     """Factor a super-symmetric tensor with one shared orthonormal basis."""
     if t.order < 2:
         raise InputError("hosvd needs order >= 2")
     if not (t.supersymmetric or check_supersymmetric(t)):
         raise DomainError("tensor is not super-symmetric")
-    # a column permutation of unfold(t, 1), so the same Gram without a copy
-    m1 = t.data.reshape(t.dims[0], -1)
-    gram = m1 @ m1.T
-    eig = sym_eig(gram)
+    eig = _mode1_gram(t.data)[1]
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
     return HosvdFactors(_all_modes(t.data, u), u, kappa_for_order(t.order))
@@ -113,19 +120,23 @@ def _unit(vec, name: str) -> np.ndarray:
     return v
 
 
+def _project(features: FeatureSet, u, v, w) -> tuple[np.ndarray, ...]:
+    """Check the unit directions u, v, w; return them and phi @ u, phi @ v, phi @ w."""
+    u, v, w = _unit(u, "u"), _unit(v, "v"), _unit(w, "w")
+    phi = features.vectors
+    if phi.shape[1] != u.shape[0] or v.shape[0] != u.shape[0] or w.shape[0] != u.shape[0]:
+        raise InputError("direction vectors must match the feature dimension")
+    return u, v, w, phi @ u, phi @ v, phi @ w
+
+
 def core_coefficient(features: FeatureSet, u, v, w) -> float:
     """Third-order pooled coefficient along directions u, v, w.
 
     Computed from the raw vectors: (1/N) sum_n <phi_n,u><phi_n,v><phi_n,w>.
     Weights and the stored mean do not enter here.
     """
-    u = _unit(u, "u")
-    v = _unit(v, "v")
-    w = _unit(w, "w")
-    phi = features.vectors
-    if phi.shape[1] != u.shape[0] or v.shape[0] != u.shape[0] or w.shape[0] != u.shape[0]:
-        raise InputError("direction vectors must match the feature dimension")
-    return float(np.mean((phi @ u) * (phi @ v) * (phi @ w)))
+    *_, pu, pv, pw = _project(features, u, v, w)
+    return float(np.mean(pu * pv * pw))
 
 
 def detector_likelihood(lam: float, kappa: float, n: float) -> float:

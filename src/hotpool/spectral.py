@@ -36,6 +36,18 @@ _REAL = (-math.inf, math.inf)
 
 _Op = namedtuple("_Op", "domain g dg")
 
+
+def _hdp_floor(x, t):
+    # below x = t/1000, e^(-t/x) underflows to 0 anyway, so the floor is exact for
+    # g and g'; it keeps 0, -0.0 and tiny x from dividing by zero or giving inf * 0
+    return np.maximum(x, t / 1000.0)
+
+
+def _hdp_dg(x, t):
+    x = _hdp_floor(x, t)
+    return (t / x**2) * np.exp(-t / x)
+
+
 _OPS = {
     "gamma": _Op(_HALF_LINE, lambda x, p: x**p, lambda x, p: p * x ** (p - 1.0)),
     "maxexp": _Op(_UNIT, lambda x, p: 1.0 - (1.0 - x) ** p,
@@ -45,10 +57,7 @@ _OPS = {
     # tanh(p*x/2) equals 2/(1+exp(-p*x)) - 1 and never overflows
     "sigme": _Op(_REAL, lambda x, p: np.tanh(0.5 * p * x),
                  lambda x, p: 0.5 * p * (1.0 - np.square(np.tanh(0.5 * p * x)))),
-    # below x = t/1000, e^(-t/x) underflows to 0 anyway, so the floor is exact;
-    # it keeps 0, -0.0 and subnormal x from dividing by zero or overflowing
-    "hdp": _Op(_HALF_LINE, lambda x, t: np.exp(-t / np.maximum(x, t / 1000.0)),
-               lambda x, t: (t / x**2) * np.exp(-t / x)),
+    "hdp": _Op(_HALF_LINE, lambda x, t: np.exp(-t / _hdp_floor(x, t)), _hdp_dg),
 }
 
 KINDS = (*_OPS, "grassmann")
@@ -61,8 +70,8 @@ SPSD_EIG_TOL = 1e-10
 # relative symmetry tolerance for sym_eig
 SYM_TOL = 1e-10
 
-# minimum eigengap between the q-th and (q+1)-th eigenvalues for a rank-q
-# projector to count as well defined
+# minimum eigengap between the q-th and (q+1)-th eigenvalues, relative to
+# the largest eigenvalue, for a rank-q projector to count as well defined
 GRASSMANN_SEP_TOL = 1e-8
 
 # slack when checking spectra against an upper bound of 1
@@ -226,7 +235,7 @@ def grassmann_map(x, q: int) -> np.ndarray:
     if q >= rank:
         raise DomainError(f"subspace rank {q} must be below the matrix rank {rank}")
     sep = vals[q - 1] - vals[q]
-    if sep <= GRASSMANN_SEP_TOL:
+    if sep <= GRASSMANN_SEP_TOL * vals[0]:
         raise DegenerateSpectrumError(
             f"eigenvalues {q} and {q + 1} are separated by only {sep:.3e}; "
             "the projector is not well defined"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hotpool import (
@@ -28,7 +30,7 @@ from hotpool import (
     verify_maxexp_ode,
     y_of_eta,
 )
-from hotpool.analysis import E, _grid_open, report_json
+from hotpool.analysis import TOUCH_TOL, E, _grid_open, _local_minima, report_json
 
 # reference constants below were evaluated with mpmath at 50 digits
 
@@ -369,3 +371,29 @@ def test_sweep_gaps_match_reference_exactly():
     lam, gap, row = _combined_curve(0.1, 1.0, 1e-3)
     envelope = np.minimum(1.0 - (1.0 - lam) ** row["eta"], lam ** row["gamma"])
     assert np.array_equal(gap, envelope - np.exp(-0.1 / lam))
+
+
+def _loop_local_minima(lam, gap):
+    """Reference: every touching local minimum, keeping only the first of a run."""
+    if gap.size < 3:
+        return []
+    mid = gap[1:-1]
+    hit = (mid <= gap[:-2]) & (mid <= gap[2:]) & (mid <= TOUCH_TOL)
+    out = []
+    prev = None
+    for i in np.nonzero(hit)[0] + 1:
+        if prev is not None and i == prev + 1:
+            prev = i
+            continue
+        out.append((float(lam[i]), float(gap[i])))
+        prev = i
+    return out
+
+
+# gaps from a few levels, so runs of equal minima, plateaus and edges are common
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-1e-3, 0.0, 5e-7, 1e-6, 2e-6, 0.5]), max_size=40))
+def test_local_minima_matches_loop_reference(values):
+    gap = np.array(values, dtype=np.float64)
+    lam = np.linspace(0.0, 1.0, gap.size)
+    assert _local_minima(lam, gap) == _loop_local_minima(lam, gap)

@@ -259,6 +259,41 @@ def test_gradcheck_d_range_only_for_draws(tmp_path):
     assert "d must be in 2..32" in res.stderr
 
 
+_GRADCHECK_THRESHOLDS = {
+    "eig_value_grad": 1e-6,
+    "eig_vector_grad": 1e-5,
+    "epn_vjp": 1e-5,
+    "factor_vjp": 1e-4,
+    "core_grad": 1e-7,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_GRADCHECK_THRESHOLDS))
+def test_gradcheck_json_schema(op):
+    res = run_cli("gradcheck", "--op", op, "--d", "5", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    keys = {"op", "d", "seed", "rel_err", "threshold", "pass"}
+    assert set(doc) == (keys | {"spec"} if op == "epn_vjp" else keys)
+    assert doc["op"] == op and doc["d"] == 5 and doc["seed"] == 3
+    assert doc["threshold"] == _GRADCHECK_THRESHOLDS[op]
+    assert doc["rel_err"] < doc["threshold"]
+    assert doc["pass"] is True
+    if op == "epn_vjp":
+        assert doc["spec"] == "sigme:4"
+
+
+@pytest.mark.parametrize("d", [2, 3, 32])
+@pytest.mark.parametrize("op", sorted(_GRADCHECK_THRESHOLDS))
+def test_gradcheck_every_op_and_d_exits_cleanly(op, d):
+    res = run_cli("gradcheck", "--op", op, "--d", d)
+    assert res.returncode in (0, 1, 2), res.stderr
+    assert "Traceback" not in res.stderr
+    if op == "core_grad" and d == 2:
+        assert res.returncode == 2 and res.stdout == ""
+        assert "d must be in 3..32, got 2" in res.stderr
+
+
 def test_figure_fig2_rows(tmp_path):
     out = tmp_path / "fig2.csv"
     res = run_cli("figure", "--which", "fig2", "--out", out)

@@ -187,6 +187,16 @@ def test_unfolded_factor_vjp_matches_loop_reference(d):
     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
+def test_epn_vjp_hdp_tiny_eigenvalue_is_finite():
+    # x^2 underflows below ~1e-154; the floor keeps g' at its true value 0
+    x = np.diag([1.0, 0.5, 1e-200])
+    spec = PnSpec("hdp", 0.2)
+    got = epn_matrix_vjp(x, spec, np.eye(3))
+    assert np.all(np.isfinite(got))
+    assert got[2, 2] == 0.0
+    assert_allclose(np.diag(got)[:2], _pn_deriv(np.array([1.0, 0.5]), spec), rtol=1e-15)
+
+
 def test_epn_vjp_identity_spec_symmetrizes():
     x = _spd(65, 5)
     rng = np.random.default_rng(66)

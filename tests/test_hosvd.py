@@ -179,6 +179,26 @@ def test_nan_direction_is_a_domain_error():
             fn(fs, u, bad, u)
 
 
+_E0, _E1, _E2 = np.eye(3)
+
+
+@pytest.mark.parametrize("fn", [core_coefficient, core_coefficient_grad])
+@pytest.mark.parametrize("dirs, error, message", [
+    ((2.0 * _E0, _E1, _E2), DomainError, "u must have unit norm"),
+    ((_E0, 0.5 * _E1, _E2), DomainError, "v must have unit norm"),
+    ((_E0, _E1, [np.nan, 0.0, 0.0]), DomainError, "w must have unit norm"),
+    ((_E0, _E1, np.eye(3)), InputError, "w must be a vector"),
+    ((_E0[:2], _E1[:2], _E2[1:]), InputError,
+     "direction vectors must match the feature dimension"),
+    ((_E0, _E1, [0.0, 0.0, 0.0, 1.0]), InputError,
+     "direction vectors must match the feature dimension"),
+])
+def test_direction_validation_messages(fn, dirs, error, message):
+    with pytest.raises(error) as info:
+        fn(FeatureSet(np.eye(3)), *dirs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_detector_likelihood_rejects_non_finite(lam):
     with pytest.raises(DomainError, match="finite"):

@@ -20,7 +20,7 @@ from hotpool import (
     precision_laplacian,
     sym_eig,
 )
-from hotpool.spectral import KINDS, SPSD_KINDS, _pn_deriv
+from hotpool.spectral import GRASSMANN_SEP_TOL, KINDS, SPSD_KINDS, _pn_deriv
 
 
 def _spd(seed, d, lo=0.2, hi=0.95):
@@ -237,6 +237,27 @@ def test_grassmann_map_errors():
         grassmann_map(np.diag([3.0, 2.0, 1.0]), 0)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_grassmann_map_is_scale_invariant(q):
+    x = _spd(14, 4)
+    want = grassmann_map(x, q)
+    for scale in (1e-9, 1e9):
+        assert_allclose(grassmann_map(scale * x, q), want, atol=1e-12)
+    # a relative gap of 0.5 is well separated at any scale
+    for scale in (1e-9, 1.0, 1e9):
+        assert_allclose(grassmann_map(scale * np.diag([2.0, 1.0, 0.5]), 1),
+                        np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+
+
+def test_grassmann_separation_is_relative_to_the_top_eigenvalue():
+    top = 1e9
+    sep = 0.5 * GRASSMANN_SEP_TOL * top
+    with pytest.raises(DegenerateSpectrumError, match="separated by only"):
+        grassmann_map(np.diag([top, top - sep, 1.0]), 1)
+    sep = 2.0 * GRASSMANN_SEP_TOL * top
+    grassmann_map(np.diag([top, top - sep, 1.0]), 1)
+
+
 def test_precision_laplacian_basics():
     assert_allclose(precision_laplacian(np.eye(3)), np.eye(3), atol=1e-14)
     assert_allclose(
@@ -359,3 +380,15 @@ def test_pn_deriv_matches_central_difference(kind, u, v):
     fd = (pn_scalar(x + h, spec) - pn_scalar(x - h, spec)) / (2.0 * h)
     an = float(_pn_deriv(np.array([x]), spec)[0])
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.2, 1.0, 300.0])
+def test_hdp_deriv_floor_is_exact(t):
+    # above the floor the derivative is bit for bit (t/x^2) e^(-t/x); below it, 0
+    rng = np.random.default_rng(int(t * 1e6) % 2**32)
+    x = t / 1000.0 * 10.0 ** rng.uniform(0.0, 6.0, size=20_000)
+    x = np.concatenate([[t / 1000.0], x])
+    got = _pn_deriv(x, PnSpec("hdp", t))
+    assert np.array_equal(got, (t / x**2) * np.exp(-t / x))
+    tiny = np.array([5e-324, 1e-310, 1e-200, 1e-155, t / 1000.0 * (1.0 - 1e-15)])
+    assert np.array_equal(_pn_deriv(tiny, PnSpec("hdp", t)), np.zeros(5))
