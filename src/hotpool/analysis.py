@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_real
 from .spectral import _OPS, PnSpec, pn_scalar
 
 E = math.e
@@ -54,13 +54,15 @@ EPS2_SLACK = 1e-9
 DEFAULT_LAM_STEP = 1e-4
 
 
+def _t_of_eta(eta: float) -> float:
+    # (eta/(eta+1))^eta / (eta+1) through log1p: the log form
+    # eta*log(eta) - (eta+1)*log(eta+1) cancels catastrophically for large eta
+    return E / (E - 1.0) * math.exp(-eta * math.log1p(1.0 / eta)) / (eta + 1.0)
+
+
 def t_of_eta(eta: float) -> float:
     """Time constant of the saturation profile; decreasing in eta."""
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 1.0):
-        raise DomainError(f"eta must be >= 1, got {eta}")
-    # log-space keeps eta^eta finite for large eta
-    return E / (E - 1.0) * math.exp(eta * math.log(eta) - (eta + 1.0) * math.log(eta + 1.0))
+    return _t_of_eta(_check_real(eta, "eta", 1.0, ends="[)"))
 
 
 T_ETA_MAX = t_of_eta(1.0)
@@ -73,25 +75,21 @@ def eta_of_t(t: float) -> float:
     large eta and drifts by a few percent near eta = 1; eta_of_t_exact is
     the reference inverse.
     """
-    t = float(t)
-    if not (math.isfinite(t) and 0.0 < t <= T_ETA_MAX):
-        raise DomainError(f"t must lie in (0, {T_ETA_MAX:.6f}], got {t}")
+    t = _check_real(t, "t", 0.0, T_ETA_MAX, "(]")
     return 0.5 * math.sqrt(4.0 / (t * t * (E - 1.0) ** 2) + 1.0) - 0.5
 
 
 def eta_of_t_exact(t: float) -> float:
     """Invert t_of_eta by bisection run to interval collapse."""
-    t = float(t)
-    if not (math.isfinite(t) and 0.0 < t <= T_ETA_MAX):
-        raise DomainError(f"t must lie in (0, {T_ETA_MAX:.6f}], got {t}")
+    t = _check_real(t, "t", 0.0, T_ETA_MAX, "(]")
     lo, hi = 1.0, 2.0
-    while t_of_eta(hi) > t:
+    while _t_of_eta(hi) > t:
         hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if t_of_eta(mid) > t:
+        if _t_of_eta(mid) > t:
             lo = mid
         else:
             hi = mid
@@ -99,26 +97,18 @@ def eta_of_t_exact(t: float) -> float:
 
 def gamma_of_t(t: float) -> float:
     """Power exponent e*t matched to decay time t."""
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be positive, got {t}")
-    return E * t
+    return E * _check_real(t, "t", 0.0)
 
 
 def t_of_gamma(gamma: float) -> float:
     """Inverse of gamma_of_t for exponents in (0, 1]."""
-    gamma = float(gamma)
-    if not (math.isfinite(gamma) and 0.0 < gamma <= 1.0):
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    return gamma / E
+    return _check_real(gamma, "gamma", 0.0, 1.0, "(]") / E
 
 
 def alpha_of_eta(eta: float) -> float:
     """Tangency product t(eta)*eta in closed form."""
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 1.0):
-        raise DomainError(f"eta must be >= 1, got {eta}")
-    return E / (E - 1.0) * math.exp((eta + 1.0) * math.log(eta / (eta + 1.0)))
+    eta = _check_real(eta, "eta", 1.0, ends="[)")
+    return E / (E - 1.0) * math.exp(-(eta + 1.0) * math.log1p(1.0 / eta))
 
 
 def y_of_eta(eta: float) -> float:
@@ -127,17 +117,15 @@ def y_of_eta(eta: float) -> float:
     Lies in (0, 1) for all eta >= 1, falling from e/(2(e-1)) at eta = 1
     toward 1/(e-1).
     """
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 1.0):
-        raise DomainError(f"eta must be >= 1, got {eta}")
-    return E / (E - 1.0) * math.exp(eta * math.log(eta / (eta + 1.0)))
+    eta = _check_real(eta, "eta", 1.0, ends="[)")
+    return E / (E - 1.0) * math.exp(-eta * math.log1p(1.0 / eta))
 
 
 def bound_gaps(eta: float) -> tuple[float, float]:
     """Gap sizes (eps1, eps2) at the window endpoints (see module docstring)."""
     t = t_of_eta(eta)
     eps1 = (E - 1.0) / E - math.exp(eta * math.log1p(-t))
-    ytil = math.exp(eta * math.log(eta / (eta + 1.0)))
+    ytil = math.exp(-eta * math.log1p(1.0 / eta))
     eps2 = 1.0 - ytil - math.exp(-(E / (E - 1.0)) * ytil)
     return eps1, eps2
 
@@ -172,20 +160,6 @@ def report_json(report: BoundReport) -> str:
         "touch_points": [[lam, gap] for lam, gap in report.touch_points],
     }
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _validated_step(lam_step: float) -> float:
-    lam_step = float(lam_step)
-    if not (math.isfinite(lam_step) and 0.0 < lam_step <= 0.1):
-        raise DomainError(f"lambda step must lie in (0, 0.1], got {lam_step}")
-    return lam_step
-
-
-def _validated_scale(t_scale: float) -> float:
-    t_scale = float(t_scale)
-    if not (math.isfinite(t_scale) and t_scale > 0.0):
-        raise DomainError(f"t scale must be positive, got {t_scale}")
-    return t_scale
 
 
 def _grid_open(lo: float, hi: float, step: float) -> np.ndarray:
@@ -229,8 +203,8 @@ def _sweep_bound(check: str, params: list, lam_step: float, t_scale: float,
     """
     if not params:
         raise InputError(f"{check}: empty parameter grid")
-    lam_step = _validated_step(lam_step)
-    t_scale = _validated_scale(t_scale)
+    lam_step = _check_real(lam_step, "lambda step", 0.0, 0.1, "(]")
+    t_scale = _check_real(t_scale, "t scale", 0.0)
     detail = []
     touch = []
     for param in params:
@@ -383,14 +357,10 @@ def ode_residual_maxexp(lam: float, t: float, h: float = 1e-6,
     coeff_scale multiplies the damping coefficient to let a harness verify
     the residual is actually sensitive to the equation's shape.
     """
-    lam = float(lam)
-    t = float(t)
-    if not (math.isfinite(lam) and 0.0 < lam < 1.0):
-        raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"step must be positive, got {h}")
-    if not math.isfinite(coeff_scale):
-        raise DomainError(f"coefficient scale must be finite, got {coeff_scale}")
+    lam = _check_real(lam, "eigenvalue", 0.0, 1.0)
+    t = _check_real(t, "t")
+    h = _check_real(h, "step", 0.0)
+    coeff_scale = _check_real(coeff_scale, "coefficient scale")
     if not (t - h > 0.0 and t + h <= T_ETA_MAX):
         raise DomainError(
             f"t must lie in ({h}, {T_ETA_MAX - h:.6f}] so t +/- h stays in range"
@@ -413,14 +383,9 @@ def ode_residual_gamma(lam_l: float, t: float, coeff_scale: float = 1.0) -> floa
     The derivative is analytic, so with coeff_scale = 1 the residual is an
     exact floating-point zero.
     """
-    lam_l = float(lam_l)
-    t = float(t)
-    if not (math.isfinite(lam_l) and lam_l > 0.0):
-        raise DomainError(f"Laplacian eigenvalue must be positive, got {lam_l}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
-    if not math.isfinite(coeff_scale):
-        raise DomainError(f"coefficient scale must be finite, got {coeff_scale}")
+    lam_l = _check_real(lam_l, "Laplacian eigenvalue", 0.0)
+    t = _check_real(t, "time", 0.0)
+    coeff_scale = _check_real(coeff_scale, "coefficient scale")
     psi = lam_l ** (-E * t)
     dpsi = -E * math.log(lam_l) * psi
     return abs(dpsi + coeff_scale * E * math.log(lam_l) * psi)
@@ -514,10 +479,8 @@ def detector_curve(thetas, eta: float, kappa: float = 2.0) -> np.ndarray:
         raise DomainError("theta grid must be finite")
     if thetas.min() < -1e-12 or thetas.max() > math.pi / 2 + 1e-12:
         raise DomainError("theta grid must lie in [0, pi/2]")
-    if not eta >= 1:
-        raise DomainError(f"eta must be >= 1, got {eta}")
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    eta = _check_real(eta, "eta", 1.0, ends="[)")
+    kappa = _check_real(kappa, "kappa", 0.0)
     p = kappa * np.sin(thetas) * np.cos(thetas)
     if p.max() > 1.0 + 1e-9:
         warnings.warn(

@@ -362,15 +362,15 @@ def cmd_sketch(args) -> int:
     features = io.read_features_csv(args.input)
     if args.plan:
         with open(args.plan) as f:
-            plan = sketch.plan_from_json(f.read())
-        if plan.input_dim != features.dim:
-            raise InputError(
-                f"plan input dim {plan.input_dim} does not match CSV dim {features.dim}"
-            )
+            d, d_prime, seed = sketch._plan_fields(f.read())
+        # compare before drawing: make_plan allocates O(d)
+        if d != features.dim:
+            raise InputError(f"plan input dim {d} does not match CSV dim {features.dim}")
     else:
         if args.dprime is None:
             raise InputError("pass --dprime (or --plan to reuse a stored plan)")
-        plan = sketch.make_plan(features.dim, args.dprime, args.seed)
+        d_prime, seed = args.dprime, args.seed
+    plan = sketch.make_plan(features.dim, d_prime, seed)
     sketched = sketch.apply(plan, features.vectors)
     has_weights = not np.all(features.weights == 1.0)
     out_features = tensor.FeatureSet(sketched, features.weights if has_weights else None)

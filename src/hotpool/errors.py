@@ -1,8 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the scalar parameter checks.
 
 The CLI maps these onto its exit codes: InputError -> 2, DomainError -> 3,
 DegenerateSpectrumError -> 4.
+
+Every scalar parameter goes through one of two checks. _check_real takes a
+real value and an interval: a non-finite value is always refused with
+"must be finite", any other value outside the interval with a message built
+from it ("must be positive", "must be >= lo" or "must lie in (lo, hi]").
+_check_int takes an integer index or order and a range lo..hi.
 """
+
+import math
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -16,3 +26,30 @@ class DomainError(ValueError):
 class DegenerateSpectrumError(DomainError):
     """Eigenvalue collision too tight for derivative formulas to apply or for
     a rank-q eigenspace projector to be well defined."""
+
+
+def _check_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,
+                ends: str = "()") -> float:
+    """x as a float, or DomainError unless it is finite and inside the interval.
+
+    ends gives the brackets: "(" or "[" at lo, ")" or "]" at hi.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    if (x >= lo if ends[0] == "[" else x > lo) and (x <= hi if ends[1] == "]" else x < hi):
+        return x
+    if hi < math.inf:
+        rule = f"lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    elif ends[0] == "[":
+        rule = f"be >= {lo:g}"
+    else:
+        rule = "be positive" if lo == 0.0 else f"be > {lo:g}"
+    raise DomainError(f"{name} must {rule}, got {x}")
+
+
+def _check_int(x, name: str, lo: int, hi: int) -> int:
+    """x as an int, or InputError unless it is an integer in lo..hi."""
+    if not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise InputError(f"{name} must be an integer in {lo}..{hi}, got {x}")
+    return int(x)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, InputError
+from .errors import DegenerateSpectrumError, DomainError, InputError, _check_int, _check_real
 from .hosvd import _mode1_gram, _project
 from .spectral import (
     SPSD_KINDS,
@@ -55,17 +55,11 @@ def _check_simple(values: np.ndarray, i: int | None = None) -> None:
         )
 
 
-def _check_index(i: int, d: int, name: str = "index") -> int:
-    if not isinstance(i, (int, np.integer)) or not 1 <= i <= d:
-        raise InputError(f"{name} must be in 1..{d}, got {i}")
-    return int(i)
-
-
 def eig_value_grad(x, i: int) -> np.ndarray:
     """Sensitivity of the i-th (1-based, descending) eigenvalue: u_i u_i^T."""
     eig = sym_eig(x)
     d = eig.values.shape[0]
-    i = _check_index(i, d)
+    i = _check_int(i, "index", 1, d)
     _check_simple(eig.values, i - 1)
     u = eig.vectors[:, i - 1]
     return np.outer(u, u)
@@ -96,8 +90,8 @@ def eig_vector_grad(x, i: int, j: int) -> np.ndarray:
     """
     eig = sym_eig(x)
     d = eig.values.shape[0]
-    i = _check_index(i, d, "entry index")
-    j = _check_index(j, d, "eigenvector index")
+    i = _check_int(i, "entry index", 1, d)
+    j = _check_int(j, "eigenvector index", 1, d)
     _check_simple(eig.values, j - 1)
     p = _pinv_shifted(eig, j - 1)
     g = np.outer(p[:, i - 1], eig.vectors[:, j - 1])
@@ -206,8 +200,7 @@ def finite_diff_oracle(f, x, h: float = 1e-5) -> MatrixGradient:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"expected a square matrix, got shape {x.shape}")
-    if not (np.isfinite(h) and h > 0):
-        raise DomainError(f"step must be positive, got {h}")
+    h = _check_real(h, "step", 0.0)
     d = x.shape[0]
     base = np.asarray(f(x), dtype=np.float64)
     jac = np.zeros(base.shape + (d, d))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
 from .tensor import DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
 
@@ -146,13 +146,9 @@ def detector_likelihood(lam: float, kappa: float, n: float) -> float:
     warning because kappa bounds only coefficients along distinct orthonormal
     directions of unit-norm inputs (see the module docstring).
     """
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not n >= 1:
-        raise DomainError(f"exponent must be >= 1, got {n}")
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise DomainError(f"coefficient must be finite, got {lam}")
+    kappa = _check_real(kappa, "kappa", 0.0)
+    n = _check_real(n, "exponent", 1.0, ends="[)")
+    lam = _check_real(lam, "coefficient")
     mag = abs(lam)
     if mag > kappa:
         if mag - kappa > KAPPA_EXCESS_TOL:

@@ -108,6 +108,11 @@ def plan_json(plan: SketchPlan) -> str:
 
 
 def plan_from_json(text: str) -> SketchPlan:
+    return make_plan(*_plan_fields(text))
+
+
+def _plan_fields(text: str) -> tuple[int, int, int]:
+    """(d, d', seed) of a serialized plan, checked for keys and types only."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,4 +130,4 @@ def plan_from_json(text: str) -> SketchPlan:
     for key in ("d", "d_prime", "seed"):
         if not isinstance(doc[key], int):
             raise InputError(f"plan key {key!r} must be an integer")
-    return make_plan(doc["d"], doc["d_prime"], doc["seed"])
+    return doc["d"], doc["d_prime"], doc["seed"]

@@ -11,9 +11,9 @@ matrix X = U diag(lambda) U^T:
     grassmann rank-q eigenspace projector, not a pointwise map
 
 The private table _OPS is the one definition of this family: each kind's
-domain, map g(x, p) and derivative g'(x, p). g and g' check nothing, so
-callers with validated input call them directly; pn_scalar and _pn_deriv
-are the checked entry points.
+domain, parameter name and range, map g(x, p) and derivative g'(x, p). g
+and g' check nothing, so callers with validated input call them directly;
+pn_scalar and _pn_deriv are the checked entry points.
 
 The matrix map is epn_matrix(X) = U diag(g(lambda)) U^T.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, InputError
+from .errors import DegenerateSpectrumError, DomainError, InputError, _check_real
 from .tensor import _owned
 
 # domains of the pointwise maps
@@ -34,7 +34,8 @@ _UNIT = (0.0, 1.0)
 _HALF_LINE = (0.0, math.inf)
 _REAL = (-math.inf, math.inf)
 
-_Op = namedtuple("_Op", "domain g dg")
+# param holds the parameter's name, then its interval as _check_real takes it
+_Op = namedtuple("_Op", "domain param g dg")
 
 
 def _hdp_floor(x, t):
@@ -49,15 +50,20 @@ def _hdp_dg(x, t):
 
 
 _OPS = {
-    "gamma": _Op(_HALF_LINE, lambda x, p: x**p, lambda x, p: p * x ** (p - 1.0)),
-    "maxexp": _Op(_UNIT, lambda x, p: 1.0 - (1.0 - x) ** p,
+    "gamma": _Op(_HALF_LINE, ("gamma parameter", 0.0, 1.0, "(]"),
+                 lambda x, p: x**p, lambda x, p: p * x ** (p - 1.0)),
+    "maxexp": _Op(_UNIT, ("maxexp parameter", 1.0, math.inf, "[)"),
+                  lambda x, p: 1.0 - (1.0 - x) ** p,
                   lambda x, p: p * (1.0 - x) ** (p - 1.0)),
-    "asinhe": _Op(_REAL, lambda x, p: np.arcsinh(p * x),
+    "asinhe": _Op(_REAL, ("asinhe parameter", 0.0, 1.0, "(]"),
+                  lambda x, p: np.arcsinh(p * x),
                   lambda x, p: p / np.sqrt(1.0 + (p * x) ** 2)),
     # tanh(p*x/2) equals 2/(1+exp(-p*x)) - 1 and never overflows
-    "sigme": _Op(_REAL, lambda x, p: np.tanh(0.5 * p * x),
+    "sigme": _Op(_REAL, ("sigme parameter", 1.0, math.inf, "[)"),
+                 lambda x, p: np.tanh(0.5 * p * x),
                  lambda x, p: 0.5 * p * (1.0 - np.square(np.tanh(0.5 * p * x)))),
-    "hdp": _Op(_HALF_LINE, lambda x, t: np.exp(-t / _hdp_floor(x, t)), _hdp_dg),
+    "hdp": _Op(_HALF_LINE, ("hdp time constant", 0.0),
+               lambda x, t: np.exp(-t / _hdp_floor(x, t)), _hdp_dg),
 }
 
 KINDS = (*_OPS, "grassmann")
@@ -91,16 +97,9 @@ class PnSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown operator kind {self.kind!r}; choose from {KINDS}")
-        p = float(self.param)
-        if not np.isfinite(p):
-            raise DomainError("parameter must be finite")
-        if self.kind in ("gamma", "asinhe") and not 0.0 < p <= 1.0:
-            raise DomainError(f"{self.kind} parameter must lie in (0, 1], got {p}")
-        if self.kind in ("maxexp", "sigme") and p < 1.0:
-            raise DomainError(f"{self.kind} parameter must be >= 1, got {p}")
-        if self.kind == "hdp" and p <= 0.0:
-            raise DomainError(f"hdp time constant must be positive, got {p}")
-        if self.kind == "grassmann" and (p != int(p) or p < 1):
+        op = _OPS.get(self.kind)
+        p = _check_real(self.param, *(op.param if op else ("grassmann rank",)))
+        if op is None and (p != int(p) or p < 1):
             raise DomainError(f"grassmann rank must be an integer >= 1, got {self.param}")
         object.__setattr__(self, "param", p)
 
@@ -267,8 +266,7 @@ def precision_laplacian(x, allow_pseudo: bool = False) -> np.ndarray:
 
 def heat_kernel(q, t: float) -> np.ndarray:
     """exp(-t*Q) for an SPSD generator Q and diffusion time t > 0."""
-    if not t > 0:
-        raise DomainError(f"diffusion time must be positive, got {t}")
+    t = _check_real(t, "diffusion time", 0.0)
     eig = sym_eig(q)
     vals = _spsd_values(eig.values, "heat_kernel")
     out = (eig.vectors * np.exp(-t * vals)) @ eig.vectors.T

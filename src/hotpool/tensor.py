@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check_int
 
 MAX_ORDER = 4
 SUPERSYM_TOL = 1e-12
@@ -117,17 +117,12 @@ def check_supersymmetric(t: DenseTensor, tol: float = SUPERSYM_TOL) -> bool:
     return all(np.max(np.abs(a - a.swapaxes(k, k + 1))) <= atol for k in range(r - 1))
 
 
-def _check_order(r):
-    if not isinstance(r, (int, np.integer)) or not 2 <= r <= MAX_ORDER:
-        raise InputError(f"order must be an integer in 2..{MAX_ORDER}, got {r}")
-
-
 def outer_power(x, r: int) -> DenseTensor:
     """r-fold outer product of a vector with itself."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise InputError("outer_power expects a nonempty vector")
-    _check_order(r)
+    _check_int(r, "order", 2, MAX_ORDER)
     data = x
     for _ in range(r - 1):
         data = np.multiply.outer(data, x)
@@ -149,7 +144,7 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
     in blocks of d^(r-2), so the (block, d^2) Khatri-Rao buffer never holds
     more entries than the result.
     """
-    _check_order(r)
+    _check_int(r, "order", 2, MAX_ORDER)
     phi = features.vectors - features.mean
     w = features.weights
     n, d = phi.shape
@@ -181,14 +176,9 @@ def inner(a: DenseTensor, b: DenseTensor) -> float:
     return float(np.dot(a.data.ravel(), b.data.ravel()))
 
 
-def _check_mode(mode: int, order: int):
-    if not isinstance(mode, (int, np.integer)) or not 1 <= mode <= order:
-        raise InputError(f"mode must be in 1..{order}, got {mode}")
-
-
 def mode_product(t: DenseTensor, v, mode: int) -> DenseTensor:
     """Contract mode `mode` (1-based) with a vector, dropping that mode."""
-    _check_mode(mode, t.order)
+    _check_int(mode, "mode", 1, t.order)
     if t.order < 2:
         raise InputError("mode_product needs order >= 2")
     v = np.asarray(v, dtype=np.float64)
@@ -206,7 +196,7 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     earliest one varying fastest, so for an order-3 tensor the mode-1
     unfolding is the slice stack [T[:,:,0], T[:,:,1], ...].
     """
-    _check_mode(mode, t.order)
+    _check_int(mode, "mode", 1, t.order)
     a = np.moveaxis(t.data, mode - 1, 0)
     return a.reshape(a.shape[0], -1, order="F")
 
@@ -215,7 +205,7 @@ def refold(m, mode: int, dims) -> DenseTensor:
     """Inverse of unfold for the given mode and full dims tuple."""
     m = np.asarray(m, dtype=np.float64)
     dims = tuple(int(s) for s in dims)
-    _check_mode(mode, len(dims))
+    _check_int(mode, "mode", 1, len(dims))
     rest = dims[: mode - 1] + dims[mode:]
     if m.ndim != 2 or m.shape != (dims[mode - 1], math.prod(rest)):
         raise InputError(

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -70,6 +71,33 @@ def test_eta_of_t_exact_inverts():
         assert abs(eta_of_t_exact(t_of_eta(eta)) - eta) < 1e-10 * eta
 
 
+def _t_of_eta_decimal(eta):
+    """t(eta) in decimal arithmetic with enough digits that eta/(eta+1) is exact."""
+    x = Decimal(eta)
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, x.adjusted())
+        e = Decimal(1).exp()
+        return float(e / (e - 1) * (x * (x / (x + 1)).ln()).exp() / (x + 1))
+
+
+def test_t_of_eta_matches_decimal_reference_up_to_1e300():
+    for k in range(301):
+        eta = float(10**k)
+        want = _t_of_eta_decimal(eta)
+        assert abs(t_of_eta(eta) - want) <= 1e-15 * want, eta
+
+
+@given(st.floats(min_value=0.0, max_value=15.0))
+def test_eta_of_t_exact_inverts_up_to_1e15(log_eta):
+    eta = 10.0**log_eta
+    assert abs(eta_of_t_exact(t_of_eta(eta)) - eta) <= 1e-12 * eta
+
+
+def test_eta_of_t_exact_at_tiny_t():
+    # eta ~ 1/((e-1) t) - 1/2 once t is small
+    assert_allclose(eta_of_t_exact(1e-17), 1.0 / ((E - 1.0) * 1e-17), rtol=1e-12)
+
+
 def test_gamma_parametrization():
     assert_allclose(gamma_of_t(1.0 / E), 1.0, rtol=1e-15)
     assert_allclose(gamma_of_t(0.1), 0.27182818284590454, rtol=1e-15)
@@ -96,6 +124,12 @@ def test_y_of_eta_range_and_endpoints():
     assert np.all(np.diff(ys) < 0)
     assert all(0.0 < y < 1.0 for y in ys)
     assert abs(ys[-1] - limit) < 1e-4
+
+
+def test_y_of_eta_stays_in_unit_interval_for_huge_eta():
+    for eta in [*np.geomspace(1e4, 1e306, 200), 1e306, np.finfo(np.float64).max]:
+        assert 0.0 < y_of_eta(eta) < 1.0
+    assert_allclose(y_of_eta(1e306), 1.0 / (E - 1.0), rtol=1e-15)
 
 
 def test_supporting_line_identities():
@@ -129,6 +163,12 @@ def test_bound_gaps_ordering_and_limit():
         assert e1 <= e2
     _, e2 = bound_gaps(2.0**20)
     assert abs(e2 - 0.07332785406581076) < 1e-6
+
+
+def test_bound_gaps_ordered_on_a_log_grid():
+    for eta in np.geomspace(1.0, 1e13, 2000):
+        e1, e2 = bound_gaps(eta)
+        assert e1 <= e2 + 1e-15, eta
 
 
 def test_verify_maxexp_bound_default_certifies():

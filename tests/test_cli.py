@@ -179,6 +179,21 @@ def test_verify_gaps_match_library():
     assert doc["eps2"] == eps2
 
 
+@pytest.mark.parametrize("eta", ["1e8", "1e17", "1e300"])
+def test_verify_gaps_ordered_for_huge_eta(capsys, eta):
+    assert main(["verify", "--theorem", "gaps", "--eta", eta]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eps1"] <= doc["eps2"] + 1e-15
+
+
+@pytest.mark.parametrize("eta", ["inf", "-inf", "nan"])
+def test_verify_gaps_non_finite_eta_exits_3(capsys, eta):
+    assert main(["verify", "--theorem", "gaps", f"--eta={eta}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: eta must be finite, got {float(eta)}\n"
+
+
 def test_verify_detuned_coefficients_fail():
     res = run_cli("verify", "--theorem", "2", "--eta-max", "3", "--t-scale", "2")
     assert res.returncode == 1
@@ -388,6 +403,18 @@ def test_figure_fig4b_peak_and_endpoints(tmp_path):
     assert float(mid[1]) == 1.0
 
 
+@pytest.mark.parametrize("flag, name", [("--kappa", "kappa"), ("--eta", "eta")])
+def test_figure_fig4b_infinite_parameter_exits_3(tmp_path, flag, name):
+    out = tmp_path / "fig4b.csv"
+    res = run_cli("figure", "--which", "fig4b", "--theta-step", "0.01", flag, "inf",
+                  "--out", out)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    # the whole of stderr: no RuntimeWarning from computing with inf
+    assert res.stderr == f"error: {name} must be finite, got inf\n"
+    assert not out.exists()
+
+
 def test_figure_fig1_top_bin(tmp_path):
     out = tmp_path / "fig1.csv"
     res = run_cli("figure", "--which", "fig1", "--n", "20000", "--out", out)
@@ -452,6 +479,25 @@ def test_sketch_plan_dim_mismatch(tmp_path):
     res = run_cli("sketch", src, "--plan", plan_path, "--out", tmp_path / "s.csv")
     assert res.returncode == 2
     assert "does not match" in res.stderr
+
+
+def test_sketch_plan_dim_checked_before_drawing(tmp_path, capsys, monkeypatch):
+    src = _write_csv(tmp_path / "f.csv", "1,2,3\n4,5,6\n")
+    plan_path = tmp_path / "p.json"
+    plan_path.write_text(
+        json.dumps({"d": 10**13, "d_prime": 2, "seed": 0, "rng_name": "philox4x64"})
+    )
+
+    def no_draw(*args):
+        raise AssertionError(f"plan drawn before the dimension check: {args}")
+
+    # drawing this plan would allocate 10^13 buckets
+    monkeypatch.setattr("hotpool.sketch.make_plan", no_draw)
+    out = tmp_path / "s.csv"
+    assert main(["sketch", src, "--plan", str(plan_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: plan input dim 10000000000000 does not match CSV dim 3\n"
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_2(tmp_path):

@@ -20,7 +20,7 @@ from hotpool import (
     precision_laplacian,
     sym_eig,
 )
-from hotpool.spectral import GRASSMANN_SEP_TOL, KINDS, SPSD_KINDS, _pn_deriv
+from hotpool.spectral import _OPS, GRASSMANN_SEP_TOL, KINDS, SPSD_KINDS, _pn_deriv
 
 
 def _spd(seed, d, lo=0.2, hi=0.95):
@@ -132,6 +132,45 @@ def test_pn_spec_validation():
     ]:
         with pytest.raises(DomainError):
             PnSpec(kind, bad)
+
+
+# each pointwise kind's parameter interval as the paper states it
+_PARAM_INTERVALS = {
+    "gamma": (0.0, 1.0, "(]"),
+    "asinhe": (0.0, 1.0, "(]"),
+    "maxexp": (1.0, math.inf, "[)"),
+    "sigme": (1.0, math.inf, "[)"),
+    "hdp": (0.0, math.inf, "()"),
+}
+
+
+def _refused(kind, x):
+    with pytest.raises(DomainError, match=f"^{kind} (parameter|time constant) must "):
+        PnSpec(kind, x)
+
+
+def test_pn_spec_interval_edges():
+    assert set(_PARAM_INTERVALS) == set(_OPS)
+    for kind, (lo, hi, ends) in _PARAM_INTERVALS.items():
+        if ends[0] == "[":
+            assert PnSpec(kind, lo).param == lo
+        else:
+            _refused(kind, lo)
+        _refused(kind, np.nextafter(lo, -math.inf))
+        assert PnSpec(kind, np.nextafter(lo, math.inf)).param > lo
+        if hi < math.inf:
+            assert PnSpec(kind, hi).param == hi
+            _refused(kind, np.nextafter(hi, math.inf))
+
+
+@given(st.sampled_from(sorted(_PARAM_INTERVALS)), st.floats(allow_nan=False))
+def test_pn_spec_accepts_exactly_its_interval(kind, x):
+    lo, hi, ends = _PARAM_INTERVALS[kind]
+    inside = math.isfinite(x) and (x >= lo if ends[0] == "[" else x > lo) and x <= hi
+    if inside:
+        assert PnSpec(kind, x).param == x
+    else:
+        _refused(kind, x)
 
 
 def test_normalize_spectrum():
