@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, InputError, _check_real
+from .errors import DomainError, InputError, _check_finite, _check_int, _check_real
 from .spectral import _OPS, PnSpec, pn_scalar
 
 E = math.e
@@ -163,9 +163,7 @@ def report_json(report: BoundReport) -> str:
 
 
 def _grid_open(lo: float, hi: float, step: float) -> np.ndarray:
-    """Multiples of step inside (lo, hi], with hi itself as the last point."""
-    if not hi > lo:
-        raise DomainError(f"empty grid: ({lo}, {hi}]")
+    """Multiples of step inside (lo, hi] for lo < hi, with hi as the last point."""
     k0 = int(math.floor(lo / step)) + 1
     while k0 * step <= lo:
         k0 += 1
@@ -451,12 +449,10 @@ def pushforward_spectrum(samples, spec: PnSpec, bins: int = 10):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise InputError("samples must be nonempty")
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("samples must be finite")
+    _check_finite(samples, "samples", DomainError)
     if samples.min() <= 0.0 or samples.max() > 1.0 + 1e-12:
         raise DomainError("samples must lie in (0, 1]; rescale the spectrum first")
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise InputError(f"bins must be a positive integer, got {bins}")
+    bins = _check_int(bins, "bins", 1)
     values = pn_scalar(np.minimum(samples, 1.0), spec)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(values, bins=edges)
@@ -475,8 +471,7 @@ def detector_curve(thetas, eta: float, kappa: float = 2.0) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:
         raise InputError("theta grid must be nonempty")
-    if not np.all(np.isfinite(thetas)):
-        raise DomainError("theta grid must be finite")
+    _check_finite(thetas, "theta grid", DomainError)
     if thetas.min() < -1e-12 or thetas.max() > math.pi / 2 + 1e-12:
         raise DomainError("theta grid must lie in [0, pi/2]")
     eta = _check_real(eta, "eta", 1.0, ends="[)")

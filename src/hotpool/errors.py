@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the scalar parameter checks.
+"""Exception types shared across the package, and the input checks.
 
 The CLI maps these onto its exit codes: InputError -> 2, DomainError -> 3,
 DegenerateSpectrumError -> 4.
@@ -7,7 +7,9 @@ Every scalar parameter goes through one of two checks. _check_real takes a
 real value and an interval: a non-finite value is always refused with
 "must be finite", any other value outside the interval with a message built
 from it ("must be positive", "must be >= lo" or "must lie in (lo, hi]").
-_check_int takes an integer index or order and a range lo..hi.
+_check_int takes an integer and a range lo..hi, or lo alone. Every array
+goes through _check_finite: "<name> must be finite", raised with the error
+class its caller passes, so each site keeps its own class and exit code.
 """
 
 import math
@@ -48,8 +50,16 @@ def _check_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,
     raise DomainError(f"{name} must {rule}, got {x}")
 
 
-def _check_int(x, name: str, lo: int, hi: int) -> int:
+def _check_int(x, name: str, lo: int, hi: float = math.inf) -> int:
     """x as an int, or InputError unless it is an integer in lo..hi."""
     if not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
-        raise InputError(f"{name} must be an integer in {lo}..{hi}, got {x}")
+        rule = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
+        raise InputError(f"{name} must be an integer {rule}, got {x!r}")
     return int(x)
+
+
+def _check_finite(a: np.ndarray, name: str, error: type) -> np.ndarray:
+    """a itself, or error unless every entry is finite."""
+    if not np.isfinite(a).all():
+        raise error(f"{name} must be finite")
+    return a

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, InputError, _check_int, _check_real
+from .errors import (
+    DegenerateSpectrumError,
+    DomainError,
+    InputError,
+    _check_finite,
+    _check_int,
+    _check_real,
+)
 from .hosvd import _mode1_gram, _project
 from .spectral import (
     SPSD_KINDS,
@@ -102,9 +109,7 @@ def _checked_upstream(upstream, d: int) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (d, d):
         raise InputError(f"upstream must have shape ({d}, {d}), got {upstream.shape}")
-    if not np.all(np.isfinite(upstream)):
-        raise DomainError("upstream contains non-finite entries")
-    return upstream
+    return _check_finite(upstream, "upstream", DomainError)
 
 
 def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, _check_real
+from .errors import DomainError, InputError, _check_int, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
-from .tensor import DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
+from .tensor import MAX_ORDER, DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -37,8 +37,7 @@ _UNIT_TOL = 1e-8
 def kappa_for_order(r: int) -> float:
     """Peak magnitude (1/sqrt(r))^r of an all-distinct-index core entry
     for unit-norm inputs (see the module docstring for the other entries)."""
-    if r < 2:
-        raise InputError(f"order must be >= 2, got {r}")
+    r = _check_int(r, "order", 2, MAX_ORDER)
     return float(r ** (-r / 2.0))
 
 
@@ -52,7 +51,8 @@ class HosvdFactors:
 
     def __post_init__(self):
         for name in ("core", "factor"):
-            object.__setattr__(self, name, _owned(getattr(self, name)))
+            object.__setattr__(self, name, _owned(getattr(self, name), name))
+        object.__setattr__(self, "kappa", _check_real(self.kappa, "kappa", 0.0))
 
     @property
     def order(self) -> int:

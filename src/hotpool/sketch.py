@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check_int
 from .tensor import _owned
 
 RNG_NAME = "philox4x64"
@@ -41,14 +41,11 @@ class SketchPlan:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise InputError("plan dimensions must be positive")
-        if self.output_dim > self.input_dim:
-            raise InputError(
-                f"output dim {self.output_dim} exceeds input dim {self.input_dim}"
-            )
-        b = _owned(self.buckets, np.int64)
-        s = _owned(self.signs)
+        _check_dims(self.input_dim, self.output_dim)
+        if self.seed is not None:
+            _check_int(self.seed, "seed", 0)
+        b = _owned(self.buckets, "buckets", np.int64)
+        s = _owned(self.signs, "signs")
         if b.shape != (self.input_dim,) or s.shape != (self.input_dim,):
             raise InputError("buckets and signs must both have length d")
         if b.min() < 1 or b.max() > self.output_dim:
@@ -59,20 +56,22 @@ class SketchPlan:
         object.__setattr__(self, "signs", s)
 
 
-def make_plan(d: int, d_prime: int, seed: int) -> SketchPlan:
-    """Draw a plan from the seeded counter-based generator."""
-    if not isinstance(d, (int, np.integer)) or not isinstance(d_prime, (int, np.integer)):
-        raise InputError("dimensions must be integers")
-    if d < 1 or d_prime < 1:
-        raise InputError("dimensions must be positive")
+def _check_dims(d, d_prime) -> tuple[int, int]:
+    """(d, d') as ints, or InputError unless 1 <= d' <= d."""
+    d, d_prime = _check_int(d, "input dim", 1), _check_int(d_prime, "output dim", 1)
     if d_prime > d:
         raise InputError(f"output dim {d_prime} exceeds input dim {d}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    return d, d_prime
+
+
+def make_plan(d: int, d_prime: int, seed: int) -> SketchPlan:
+    """Draw a plan from the seeded counter-based generator."""
+    d, d_prime = _check_dims(d, d_prime)
+    seed = _check_int(seed, "seed", 0)
     gen = np.random.Generator(np.random.Philox(seed))
     buckets = gen.integers(1, d_prime + 1, size=d)
     signs = np.where(gen.integers(0, 2, size=d) == 1, 1.0, -1.0)
-    return SketchPlan(int(d), int(d_prime), buckets, signs, int(seed))
+    return SketchPlan(d, d_prime, buckets, signs, seed)
 
 
 def apply(plan: SketchPlan, x) -> np.ndarray:
@@ -112,7 +111,7 @@ def plan_from_json(text: str) -> SketchPlan:
 
 
 def _plan_fields(text: str) -> tuple[int, int, int]:
-    """(d, d', seed) of a serialized plan, checked for keys and types only."""
+    """(d, d', seed) of a serialized plan, checked as make_plan checks them."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -127,7 +126,4 @@ def _plan_fields(text: str) -> tuple[int, int, int]:
             f"plan was drawn with generator {doc['rng_name']!r}; "
             f"this build supports {RNG_NAME!r}"
         )
-    for key in ("d", "d_prime", "seed"):
-        if not isinstance(doc[key], int):
-            raise InputError(f"plan key {key!r} must be an integer")
-    return doc["d"], doc["d_prime"], doc["seed"]
+    return (*_check_dims(doc["d"], doc["d_prime"]), _check_int(doc["seed"], "seed", 0))

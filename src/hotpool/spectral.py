@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, InputError, _check_real
+from .errors import DegenerateSpectrumError, DomainError, InputError, _check_finite, _check_real
 from .tensor import _owned
 
 # domains of the pointwise maps
@@ -46,7 +46,8 @@ def _hdp_floor(x, t):
 
 def _hdp_dg(x, t):
     x = _hdp_floor(x, t)
-    return (t / x**2) * np.exp(-t / x)
+    q = t / x  # t / x**2 would overflow: x**2 underflows to 0 below x ~ 1e-154
+    return q / x * np.exp(-q)
 
 
 _OPS = {
@@ -113,7 +114,7 @@ class EigenDecomposition:
 
     def __post_init__(self):
         for name in ("values", "vectors"):
-            object.__setattr__(self, name, _owned(getattr(self, name)))
+            object.__setattr__(self, name, _owned(getattr(self, name), name))
 
 
 def sym_eig(x) -> EigenDecomposition:
@@ -127,8 +128,7 @@ def sym_eig(x) -> EigenDecomposition:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
         raise InputError(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("matrix contains non-finite entries")
+    _check_finite(x, "matrix", DomainError)
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x - x.T)) > SYM_TOL * scale:
         raise DomainError("matrix is not symmetric within tolerance")
@@ -149,9 +149,7 @@ def pn_scalar(lam, spec: PnSpec):
     """
     if spec.kind == "grassmann":
         raise DomainError("grassmann is a subspace projector, not a pointwise map")
-    arr = np.asarray(lam, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("eigenvalues must be finite")
+    arr = _check_finite(np.asarray(lam, dtype=np.float64), "eigenvalues", DomainError)
     op = _OPS[spec.kind]
     lo, hi = op.domain
     if np.any(arr < lo):
@@ -180,7 +178,7 @@ def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
 
 def normalize_spectrum(values) -> np.ndarray:
     """Divide by the trace norm sum(|lambda_i|)."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _check_finite(np.asarray(values, dtype=np.float64), "eigenvalues", DomainError)
     total = float(np.sum(np.abs(values)))
     if total <= 0.0:
         raise DomainError("cannot normalize an all-zero spectrum")

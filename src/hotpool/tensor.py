@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _check_int
+from .errors import InputError, _check_finite, _check_int, _check_real
 
 MAX_ORDER = 4
 SUPERSYM_TOL = 1e-12
 
 
-def _owned(a, dtype=np.float64):
-    """Copy into a fresh C-contiguous read-only array."""
-    out = np.array(a, dtype=dtype, order="C")
+def _owned(a, name: str, dtype=np.float64):
+    """Copy into a fresh C-contiguous read-only array; InputError unless finite."""
+    out = _check_finite(np.array(a, dtype=dtype, order="C"), name, InputError)
     out.flags.writeable = False
     return out
 
@@ -33,7 +33,7 @@ class FeatureSet:
     """N feature vectors with per-vector weights and a shared mean.
 
     vectors has shape (N, d). weights defaults to all ones, mean to zeros;
-    both are validated and all arrays are copied and marked read-only.
+    all three are checked finite, copied and marked read-only.
     """
 
     vectors: np.ndarray
@@ -41,22 +41,18 @@ class FeatureSet:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        v = _owned(self.vectors)
+        v = _owned(self.vectors, "vectors")
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise InputError("vectors must be a nonempty (N, d) array")
-        if not np.all(np.isfinite(v)):
-            raise InputError("vectors contain non-finite entries")
         n, d = v.shape
-        w = _owned(np.ones(n) if self.weights is None else self.weights)
+        w = _owned(np.ones(n) if self.weights is None else self.weights, "weights")
         if w.shape != (n,):
             raise InputError(f"weights must have shape ({n},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if np.any(w < 0):
             raise InputError("weights must be finite and nonnegative")
-        m = _owned(np.zeros(d) if self.mean is None else self.mean)
+        m = _owned(np.zeros(d) if self.mean is None else self.mean, "mean")
         if m.shape != (d,):
             raise InputError(f"mean must have shape ({d},), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("mean contains non-finite entries")
         for name, arr in (("vectors", v), ("weights", w), ("mean", m)):
             object.__setattr__(self, name, arr)
 
@@ -82,13 +78,11 @@ class DenseTensor:
     supersymmetric: bool = False
 
     def __post_init__(self):
-        a = _owned(self.data)
+        a = _owned(self.data, "tensor")
         if a.ndim < 1 or a.ndim > MAX_ORDER:
             raise InputError(f"tensor order must be 1..{MAX_ORDER}, got {a.ndim}")
         if any(s < 1 for s in a.shape):
             raise InputError("tensor dimensions must be positive")
-        if not np.all(np.isfinite(a)):
-            raise InputError("tensor contains non-finite entries")
         object.__setattr__(self, "data", a)
 
     @property
@@ -109,6 +103,7 @@ def check_supersymmetric(t: DenseTensor, tol: float = SUPERSYM_TOL) -> bool:
     permutation is a product of at most r(r-1)/2 of them, so by the
     triangle inequality every permutation stays within tol.
     """
+    tol = _check_real(tol, "tolerance", 0.0, ends="[)")
     a = t.data
     r = t.order
     if r < 2 or len(set(a.shape)) != 1:

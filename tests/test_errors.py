@@ -1,39 +1,62 @@
-"""Every scalar parameter check, with the exact message each bad value gets."""
+"""Every input check, scalar and array, with the exact message each bad value gets."""
 
+import ast
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hotpool
 from hotpool import (
     DenseTensor,
     DomainError,
+    EigenDecomposition,
     FeatureSet,
+    HosvdFactors,
     InputError,
     PnSpec,
+    SketchPlan,
     alpha_of_eta,
+    check_supersymmetric,
     detector_curve,
     detector_likelihood,
     eig_value_grad,
     eig_vector_grad,
+    epn_matrix_vjp,
     eta_of_t,
     eta_of_t_exact,
     finite_diff_oracle,
     gamma_of_t,
     heat_kernel,
+    kappa_for_order,
+    make_plan,
+    normalize_spectrum,
     ode_residual_gamma,
     ode_residual_maxexp,
     outer_power,
+    pn_scalar,
     pool,
+    pushforward_spectrum,
+    sym_eig,
     t_of_eta,
     t_of_gamma,
+    unfolded_factor_vjp,
     verify_gamma_bound,
     y_of_eta,
 )
 from hotpool.errors import _check_int, _check_real
+from hotpool.sketch import plan_from_json
 from hotpool.tensor import mode_product, refold, unfold
+
+
+def _tensor3():
+    return DenseTensor(np.zeros((2, 2, 2)))
+
 
 # site -> (call with the checked parameter as its argument, parameter name,
 # {finite bad value: exact message})
@@ -106,6 +129,12 @@ _REAL_SITES = {
                     {0: "diffusion time must be positive, got 0.0"}),
     "finite_diff_oracle": (lambda x: finite_diff_oracle(np.trace, np.eye(2), x), "step",
                            {-1e-5: "step must be positive, got -1e-05"}),
+    "hosvd_factors_kappa": (lambda x: HosvdFactors(np.eye(2), np.eye(2), x), "kappa", {
+        0: "kappa must be positive, got 0.0",
+        -1: "kappa must be positive, got -1.0",
+    }),
+    "check_supersymmetric_tol": (lambda x: check_supersymmetric(_tensor3(), x), "tolerance",
+                                 {-1: "tolerance must be >= 0, got -1.0"}),
 }
 
 _NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -134,8 +163,8 @@ def test_every_real_parameter_refuses_non_finite(site, x, box):
         call(box(x))
 
 
-def _tensor3():
-    return DenseTensor(np.zeros((2, 2, 2)))
+def _plan_text(d, d_prime, seed):
+    return json.dumps({"d": d, "d_prime": d_prime, "seed": seed, "rng_name": "philox4x64"})
 
 
 _INT_SITES = [
@@ -150,6 +179,21 @@ _INT_SITES = [
      "entry index must be an integer in 1..3, got 4"),
     (lambda: eig_vector_grad(np.diag([3.0, 2.0, 1.0]), 1, 1.5),
      "eigenvector index must be an integer in 1..3, got 1.5"),
+    (lambda: kappa_for_order(6), "order must be an integer in 2..4, got 6"),
+    (lambda: kappa_for_order(2.5), "order must be an integer in 2..4, got 2.5"),
+    (lambda: kappa_for_order(math.nan), "order must be an integer in 2..4, got nan"),
+    (lambda: pushforward_spectrum([0.5], PnSpec("maxexp", 2.0), bins=0),
+     "bins must be an integer >= 1, got 0"),
+    (lambda: make_plan(0, 1, 0), "input dim must be an integer >= 1, got 0"),
+    (lambda: make_plan(8.0, 4, 1), "input dim must be an integer >= 1, got 8.0"),
+    (lambda: make_plan(8, 0, 1), "output dim must be an integer >= 1, got 0"),
+    (lambda: make_plan(8, 4, -1), "seed must be an integer >= 0, got -1"),
+    (lambda: SketchPlan(-1, 1, (), ()), "input dim must be an integer >= 1, got -1"),
+    (lambda: SketchPlan(2, 1, (1, 1), (1.0, 1.0), seed=-2),
+     "seed must be an integer >= 0, got -2"),
+    (lambda: plan_from_json(_plan_text(8, 4, 1.5)), "seed must be an integer >= 0, got 1.5"),
+    (lambda: plan_from_json(_plan_text(8, "4", 1)),
+     "output dim must be an integer >= 1, got '4'"),
 ]
 
 
@@ -191,3 +235,98 @@ def test_check_int_returns_a_python_int():
     for bad in (0, 4, 2.0, "2", None):
         with pytest.raises(InputError, match=r"^k must be an integer in 1\.\.3, got "):
             _check_int(bad, "k", 1, 3)
+
+
+def test_check_int_without_upper_bound():
+    assert _check_int(10**30, "k", 1) == 10**30
+    for bad in (0, -5, 1.0, math.inf, "3"):
+        with pytest.raises(InputError) as exc:
+            _check_int(bad, "k", 1)
+        assert str(exc.value) == f"k must be an integer >= 1, got {bad!r}"
+
+
+# site -> (call with the checked array as its argument, a valid array for it,
+# error class, exact message for any non-finite entry). SketchPlan's buckets
+# are int64 and cannot hold one.
+_ARRAY_SITES = {
+    "FeatureSet.vectors": (FeatureSet, np.ones((3, 2)), InputError, "vectors must be finite"),
+    "FeatureSet.weights": (lambda a: FeatureSet(np.ones((3, 2)), a), np.ones(3), InputError,
+                           "weights must be finite"),
+    "FeatureSet.mean": (lambda a: FeatureSet(np.ones((3, 2)), mean=a), np.zeros(2), InputError,
+                        "mean must be finite"),
+    "DenseTensor": (DenseTensor, np.ones((2, 2, 2)), InputError, "tensor must be finite"),
+    "HosvdFactors.core": (lambda a: HosvdFactors(a, np.eye(2), 0.5), np.ones((2, 2)),
+                          InputError, "core must be finite"),
+    "HosvdFactors.factor": (lambda a: HosvdFactors(np.ones((2, 2)), a, 0.5), np.eye(2),
+                            InputError, "factor must be finite"),
+    "EigenDecomposition.values": (lambda a: EigenDecomposition(a, np.eye(3)), np.ones(3),
+                                  InputError, "values must be finite"),
+    "EigenDecomposition.vectors": (lambda a: EigenDecomposition(np.ones(3), a), np.eye(3),
+                                   InputError, "vectors must be finite"),
+    "SketchPlan.signs": (lambda a: SketchPlan(3, 2, (1, 2, 1), a), np.ones(3), InputError,
+                         "signs must be finite"),
+    "sym_eig": (sym_eig, np.eye(3), DomainError, "matrix must be finite"),
+    "pn_scalar": (lambda a: pn_scalar(a, PnSpec("sigme", 2.0)), np.full(4, 0.5), DomainError,
+                  "eigenvalues must be finite"),
+    "normalize_spectrum": (normalize_spectrum, np.full(4, 0.5), DomainError,
+                           "eigenvalues must be finite"),
+    "epn_matrix_vjp": (lambda a: epn_matrix_vjp(np.diag([3.0, 2.0, 1.0]), PnSpec("sigme", 2.0), a),
+                       np.eye(3), DomainError, "upstream must be finite"),
+    "unfolded_factor_vjp": (
+        lambda a: unfolded_factor_vjp(pool(FeatureSet(np.diag([3.0, 2.0, 1.0])), 3), a),
+        np.eye(3), DomainError, "upstream must be finite"),
+    "pushforward_spectrum": (lambda a: pushforward_spectrum(a, PnSpec("maxexp", 2.0)),
+                             np.full(4, 0.5), DomainError, "samples must be finite"),
+    "detector_curve": (lambda a: detector_curve(a, 2.0), np.full(4, 0.5), DomainError,
+                       "theta grid must be finite"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ARRAY_SITES))
+def test_array_messages(site):
+    call, valid, error, message = _ARRAY_SITES[site]
+    call(valid)
+    bad = valid.copy()
+    bad.flat[0] = math.nan
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@given(site=st.sampled_from(sorted(_ARRAY_SITES)), x=st.sampled_from(_NON_FINITE),
+       data=st.data())
+def test_every_array_refuses_non_finite_anywhere(site, x, data):
+    call, valid, error, message = _ARRAY_SITES[site]
+    bad = valid.copy()
+    bad.flat[data.draw(st.integers(0, bad.size - 1), label="position")] = x
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+# the only lines outside errors that call isfinite, per module and top-level
+# definition: the oracle's check of f's output, the SVG writer's filter of
+# unplottable points (two lines) and the CLI's own --theta-step check, none
+# of them an array refusal of the library
+_ISFINITE_ALLOWED = Counter({
+    ("gradients", "finite_diff_oracle"): 1,
+    ("cli", "_write_svg"): 2,
+    ("cli", "_figure_fig4b"): 1,
+})
+
+
+def _calls_isfinite(node) -> bool:
+    return isinstance(node, ast.Call) and "isfinite" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_isfinite_is_called_only_in_errors():
+    found = Counter()
+    for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            lines = {node.lineno for node in ast.walk(top) if _calls_isfinite(node)}
+            if lines:
+                found[(path.stem, getattr(top, "name", None))] += len(lines)
+    assert found == _ISFINITE_ALLOWED

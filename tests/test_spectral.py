@@ -423,11 +423,21 @@ def test_pn_deriv_matches_central_difference(kind, u, v):
 
 @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.2, 1.0, 300.0])
 def test_hdp_deriv_floor_is_exact(t):
-    # above the floor the derivative is bit for bit (t/x^2) e^(-t/x); below it, 0
+    # above the floor the derivative is bit for bit ((t/x)/x) e^(-t/x), and
+    # within 5e-16 relative of the t/x**2 form wherever that is a normal float;
+    # below it, 0
     rng = np.random.default_rng(int(t * 1e6) % 2**32)
     x = t / 1000.0 * 10.0 ** rng.uniform(0.0, 6.0, size=20_000)
     x = np.concatenate([[t / 1000.0], x])
     got = _pn_deriv(x, PnSpec("hdp", t))
-    assert np.array_equal(got, (t / x**2) * np.exp(-t / x))
+    assert np.array_equal(got, (t / x) / x * np.exp(-t / x))
+    assert_allclose(got, (t / x**2) * np.exp(-t / x), rtol=5e-16, atol=np.finfo(float).tiny)
     tiny = np.array([5e-324, 1e-310, 1e-200, 1e-155, t / 1000.0 * (1.0 - 1e-15)])
     assert np.array_equal(_pn_deriv(tiny, PnSpec("hdp", t)), np.zeros(5))
+
+
+def test_hdp_deriv_at_tiny_time_constant():
+    # t/x**2 would overflow here: x**2 underflows to 0 below x ~ 1e-154
+    got = _pn_deriv(np.array([1e-200, 3e-200]), PnSpec("hdp", 1e-200))
+    assert_allclose(got, [math.exp(-1.0) * 1e200, math.exp(-1.0 / 3.0) / 9.0 * 1e200],
+                    rtol=1e-15)
