@@ -51,8 +51,8 @@ def _check_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,
 
 
 def _check_int(x, name: str, lo: int, hi: float = math.inf) -> int:
-    """x as an int, or InputError unless it is an integer in lo..hi."""
-    if not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+    """x as an int, or InputError unless it is an integer, not a bool, in lo..hi."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
         rule = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
         raise InputError(f"{name} must be an integer {rule}, got {x!r}")
     return int(x)

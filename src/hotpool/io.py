@@ -11,9 +11,9 @@ HOTP1 layout, all little-endian:
 Every CSV the package writes is comma-separated, one row per newline-ended
 line. Floats are written as their repr, so they read back bit for bit;
 report and figure rows may also hold integers, `true`/`false`, or an empty
-cell for a missing value. Readers skip blank lines, parse cells with
-float() (so surrounding whitespace, `1_000`, `inf` and `nan` all parse),
-and name the line and column of the first cell that does not.
+cell for a missing value. Readers skip blank lines and accept what float()
+does (surrounding whitespace, `1_000`, `inf`, `nan`). Valid unquoted files take
+numpy's C reader; the row parser names the line and column of the first bad cell.
 
 Feature CSV holds one vector per row. A header row is optional and is
 recognized by a non-numeric cell; when its last column is named `weight`,
@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import struct
+from contextlib import suppress
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -87,19 +90,18 @@ def _cell(c) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write an optional header row, then the rows, one line each."""
+    f8 = isinstance(rows, np.ndarray) and rows.dtype == np.float64  # repr is _cell for floats
+    cell, rows = (repr, rows.tolist()) if f8 else (_cell, rows)
     with open(path, "w", newline="") as f:
         if header:
             f.write(",".join(map(_cell, header)) + "\n")
-        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        f.writelines(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 def _read_rows(path) -> list:
     """The non-empty rows of a CSV file, each with its 1-based line number."""
     with open(path, newline="") as f:
-        rows = [(line, row) for line, row in enumerate(csv.reader(f), 1) if row]
-    if not rows:
-        raise InputError(f"{path}: no rows")
-    return rows
+        return [(line, row) for line, row in enumerate(csv.reader(f), 1) if row]
 
 
 def _parse_rows(path, rows: list, ncols: int) -> np.ndarray:
@@ -124,45 +126,58 @@ def _parse_rows(path, rows: list, ncols: int) -> np.ndarray:
     return np.asarray(out)
 
 
-def read_features_csv(path) -> FeatureSet:
-    """Load a feature CSV, honoring an optional trailing weight column."""
-    rows = _read_rows(path)
+def _read_numeric(path, header: bool) -> tuple[np.ndarray, list | None]:
+    """The data rows as a 2-d array, and the header row or None. np.loadtxt
+    reads a valid file; any other, or one holding a quote or a 0x1c-0x1f
+    character (loadtxt strips those and float() does not), takes _parse_rows."""
+    text = Path(path).read_text()
+    fast = not any(c in text for c in '"\x1c\x1d\x1e\x1f')
+    rows = ([(text.count("\n", 0, m.start()) + 1, m.group().split(","))
+             for m in islice(re.finditer("[^\n]+", text), 2)] if fast else _read_rows(path))
+    if not rows:
+        raise InputError(f"{path}: no rows")
     first = rows[0][1]
-    try:
-        list(map(float, first))
-        has_header = False
+    try:  # with header set, a first row that float() refuses is the header
+        has_header = header and not list(map(float, first))
     except ValueError:
         has_header = True
-    has_weights = has_header and first[-1].strip().lower() == "weight"
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise InputError(f"{path}: header but no data rows")
-    data = _parse_rows(path, rows, len(first))
-    if data.shape[1] - has_weights < 1:
-        raise InputError(f"{path}: rows have no feature columns")
-    if has_weights:
+    if has_header and len(rows) == 1:
+        raise InputError(f"{path}: header but no data rows")
+    data = None
+    if fast:
+        with suppress(ValueError), open(path) as f:
+            data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None,
+                              skiprows=rows[0][0] - 1 + has_header, dtype=np.float64)
+    if data is None or data.shape[1] != len(first):
+        data = _parse_rows(path, _read_rows(path)[has_header:], len(first))
+    return data, first if has_header else None
+
+
+def read_features_csv(path) -> FeatureSet:
+    """Load a feature CSV, honoring an optional trailing weight column."""
+    data, header = _read_numeric(path, header=True)
+    if header and header[-1].strip().lower() == "weight":
+        if data.shape[1] < 2:
+            raise InputError(f"{path}: rows have no feature columns")
         return FeatureSet(data[:, :-1], data[:, -1])
     return FeatureSet(data)
 
 
 def write_features_csv(path, features: FeatureSet, include_weights: bool = False) -> None:
     header = [f"f{j}" for j in range(features.dim)]
-    rows = features.vectors
     if include_weights:
-        header.append("weight")
-        rows = np.column_stack([rows, features.weights])
-    write_csv(path, header, rows.tolist())
+        write_csv(path, header + ["weight"], np.column_stack([features.vectors, features.weights]))
+    else:
+        write_csv(path, header, features.vectors)
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Load a headerless numeric CSV as a 2-d array."""
-    rows = _read_rows(path)
-    return _parse_rows(path, rows, len(rows[0][1]))
+    return _read_numeric(path, header=False)[0]
 
 
 def write_matrix_csv(path, m) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got ndim {m.ndim}")
-    write_csv(path, None, m.tolist())
+    write_csv(path, None, m)

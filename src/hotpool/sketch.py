@@ -41,19 +41,19 @@ class SketchPlan:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_dims(self.input_dim, self.output_dim)
-        if self.seed is not None:
-            _check_int(self.seed, "seed", 0)
+        d, d_prime = _check_dims(self.input_dim, self.output_dim)
+        seed = None if self.seed is None else _check_int(self.seed, "seed", 0)
         b = _owned(self.buckets, "buckets", np.int64)
         s = _owned(self.signs, "signs")
-        if b.shape != (self.input_dim,) or s.shape != (self.input_dim,):
+        if b.shape != (d,) or s.shape != (d,):
             raise InputError("buckets and signs must both have length d")
-        if b.min() < 1 or b.max() > self.output_dim:
+        if b.min() < 1 or b.max() > d_prime:
             raise InputError("bucket indices must lie in 1..d'")
         if not np.all(np.isin(s, (-1.0, 1.0))):
             raise InputError("signs must be +1 or -1")
-        object.__setattr__(self, "buckets", b)
-        object.__setattr__(self, "signs", s)
+        for name, value in zip(("input_dim", "output_dim", "buckets", "signs", "seed"),
+                               (d, d_prime, b, s, seed)):
+            object.__setattr__(self, name, value)
 
 
 def _check_dims(d, d_prime) -> tuple[int, int]:

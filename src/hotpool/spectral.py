@@ -132,7 +132,7 @@ def sym_eig(x) -> EigenDecomposition:
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x - x.T)) > SYM_TOL * scale:
         raise DomainError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (x + x.T))
+    vals, vecs = np.linalg.eigh(0.5 * x + 0.5 * x.T)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)

@@ -188,6 +188,9 @@ _INT_SITES = [
     (lambda: make_plan(8.0, 4, 1), "input dim must be an integer >= 1, got 8.0"),
     (lambda: make_plan(8, 0, 1), "output dim must be an integer >= 1, got 0"),
     (lambda: make_plan(8, 4, -1), "seed must be an integer >= 0, got -1"),
+    (lambda: make_plan(8, 4, True), "seed must be an integer >= 0, got True"),
+    (lambda: mode_product(_tensor3(), [1.0, 0.0], True),
+     "mode must be an integer in 1..3, got True"),
     (lambda: SketchPlan(-1, 1, (), ()), "input dim must be an integer >= 1, got -1"),
     (lambda: SketchPlan(2, 1, (1, 1), (1.0, 1.0), seed=-2),
      "seed must be an integer >= 0, got -2"),

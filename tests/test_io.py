@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from hotpool import DenseTensor, FeatureSet, InputError
+from hotpool import DenseTensor, FeatureSet, InputError, io
 from hotpool.io import (
     read_features_csv,
     read_matrix_csv,
@@ -210,3 +212,140 @@ def test_matrix_csv_roundtrip_exact(tmp_path, m):
 def test_matrix_csv_rejects_vector():
     with pytest.raises(InputError):
         write_matrix_csv("unused.csv", np.zeros(3))
+
+
+# --- the loadtxt reader against the row parser -------------------------------
+
+def _row_parser(path, header: bool):
+    """The readers' contract written with the row parser alone: what
+    read_features_csv (header=True) and read_matrix_csv return or raise."""
+    rows = io._read_rows(path)
+    if not rows:
+        raise InputError(f"{path}: no rows")
+    first = rows[0][1]
+    try:
+        list(map(float, first))
+        has_header = False
+    except ValueError:
+        has_header = header
+    if has_header and len(rows) == 1:
+        raise InputError(f"{path}: header but no data rows")
+    data = io._parse_rows(path, rows[has_header:], len(first))
+    if not header:
+        return data
+    if has_header and first[-1].strip().lower() == "weight":
+        if data.shape[1] < 2:
+            raise InputError(f"{path}: rows have no feature columns")
+        return FeatureSet(data[:, :-1], data[:, -1])
+    return FeatureSet(data)
+
+
+def _outcome(read, *args):
+    """The bytes a reader returns, or the class and message it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, FeatureSet):
+        return got.vectors.shape, got.vectors.tobytes(), got.weights.tobytes()
+    return got.shape, got.tobytes()
+
+
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "\x0c", "\x0b", "\u2007", "\x1c", "\x1f"])
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_000", "inf", "-Infinity", "nan", "-nan", "+1e5", ".5", "1.", "-0.0",
+                     "5e-324", "1e999", "١"]),
+)
+_WORD = st.sampled_from(['"1"', '"1,2"', '"', "#", "# 1", "1#", "a", "f0", "weight", "WEIGHT",
+                         " Weight ", "", " ", "1 2", "0x10", "1d0", "\x00"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV texts around valid grids: padded cells, headers, blank and
+    whitespace-only lines, every line ending, and a few bad cells."""
+    width = draw(st.integers(1, 4))
+    cell = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+    lines = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):  # a header, perhaps of another width
+        head = max(1, width + draw(st.sampled_from([0, 0, 1, -1])))
+        lines.insert(0, [draw(st.one_of(_WORD, cell)) for _ in range(head)])
+    for _ in range(draw(st.integers(0, 2))):  # damage: a bad cell, a wider or a narrower row
+        if lines:
+            row = draw(st.sampled_from(lines))
+            spot = draw(st.integers(0, len(row)))
+            if draw(st.booleans()):
+                row.insert(spot, draw(_WORD))
+            elif draw(st.booleans()):
+                row[spot - 1] = draw(_WORD)
+            elif len(row) > 1:
+                del row[spot - 1]
+    text = [",".join(row) for row in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", "", " ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(text) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_texts())
+@example("a,b\n")
+@example("\n\r\n")
+@example(" WEIGHT \n1.0\n")
+@example("\n\nf0,weight\n\n1,2\r\n3,4")
+@example('"1",2\n3,4\n')
+@example('"a\nb",weight\n1,2\n')
+@example("1,2,\n3,4,\n")
+@example("1\x1c,2\n")
+@example("# 1,2\n3,4\n")
+@example("1,2\n \n3,4\n")
+@example("a,b\n1,2,3\n4,5,6\n")
+def test_readers_match_the_row_parser(tmp_path, text):
+    p = tmp_path / "f.csv"
+    p.write_text(text, newline="")
+    assert _outcome(read_features_csv, p) == _outcome(_row_parser, p, True)
+    assert _outcome(read_matrix_csv, p) == _outcome(_row_parser, p, False)
+
+
+def test_valid_files_never_take_the_row_parser(tmp_path, monkeypatch):
+    # the slow path stays an error path: canonical files must not reach it
+    def refuse(*args):
+        raise AssertionError("row parser called on a valid file")
+
+    rng = np.random.default_rng(5)
+    fs = FeatureSet(rng.normal(size=(20, 6)), weights=rng.uniform(0.1, 2.0, size=20))
+    write_features_csv(tmp_path / "w.csv", fs, include_weights=True)
+    write_features_csv(tmp_path / "f.csv", fs)
+    write_matrix_csv(tmp_path / "m.csv", fs.vectors)
+    (tmp_path / "b.csv").write_text("\n 1.5 ,-inf\r\n\n\xa02,3e0\t\n")
+    monkeypatch.setattr(io, "_read_rows", refuse)
+    monkeypatch.setattr(io, "_parse_rows", refuse)
+    back = read_features_csv(tmp_path / "w.csv")
+    assert back.vectors.tobytes() == fs.vectors.tobytes()
+    assert back.weights.tobytes() == fs.weights.tobytes()
+    assert read_features_csv(tmp_path / "f.csv").vectors.tobytes() == fs.vectors.tobytes()
+    assert read_matrix_csv(tmp_path / "m.csv").tobytes() == fs.vectors.tobytes()
+    assert read_matrix_csv(tmp_path / "b.csv").tolist() == [[1.5, -np.inf], [2.0, 3.0]]
+
+
+def test_array_writers_match_the_cell_formatter(tmp_path):
+    m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308],
+                  [1.0, -3.0, 1e16, 0.1, 1 / 3]])
+    fs = FeatureSet(m, weights=[0.5, 2.0])
+    write_matrix_csv(tmp_path / "m.csv", m)
+    write_features_csv(tmp_path / "f.csv", fs)
+    write_features_csv(tmp_path / "w.csv", fs, include_weights=True)
+    header = [f"f{j}" for j in range(5)]
+    for name, head, rows in [("m", None, m), ("f", header, m),
+                             ("w", header + ["weight"], np.column_stack([m, fs.weights]))]:
+        write_csv(tmp_path / "cells.csv", head, rows.tolist())  # a list takes _cell
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b"-0.0,5e-324,2.2250738585072014e-308,1e+308,-1e+308\n"
+        b"1.0,-3.0,1e+16,0.1,0.3333333333333333\n"
+    )

@@ -125,6 +125,14 @@ def test_plan_json_roundtrip():
     assert np.array_equal(back.signs, plan.signs)
 
 
+def test_plan_stores_checked_ints():
+    # numpy integers pass the checks and are stored as ints, so the plan serializes
+    plan = SketchPlan(np.int64(2), 1, (1, 1), (1.0, 1.0), np.int64(3))
+    assert [type(v) for v in (plan.input_dim, plan.output_dim, plan.seed)] == [int] * 3
+    assert json.loads(plan_json(plan)) == {"d": 2, "d_prime": 1, "seed": 3,
+                                           "rng_name": "philox4x64"}
+
+
 def test_plan_json_rejects_other_generators():
     text = json.dumps({"d": 8, "d_prime": 4, "seed": 1, "rng_name": "pcg64"})
     with pytest.raises(InputError, match="philox4x64"):

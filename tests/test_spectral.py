@@ -56,6 +56,19 @@ def test_sym_eig_reconstructs():
     assert np.all(eig.vectors[lead, np.arange(8)] >= 0)
 
 
+def test_sym_eig_symmetrizes_without_overflow():
+    # 0.5 * (x + x.T) overflows here although both eigenvalues are floats;
+    # pytest turns the RuntimeWarning it would raise into an error
+    eig = sym_eig(np.diag([1e308, -1e308]))
+    assert eig.values.tolist() == [1e308, -1e308]
+    assert np.array_equal(eig.vectors, np.eye(2))
+    # and for normal floats the halves sum to the same bits as the half sum
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 6))
+    x = a + a.T + 1e-12 * rng.normal(size=(6, 6))
+    assert np.array_equal(0.5 * x + 0.5 * x.T, 0.5 * (x + x.T))
+
+
 def test_sym_eig_rejects_bad_input():
     with pytest.raises(DomainError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
