@@ -3,7 +3,8 @@
 All eigen-derivative formulas assume a simple spectrum: an eigengap at or
 below 1e-6 relative to the spectral radius is a hard error rather than a
 jitter, since the underlying derivative genuinely blows up there. Callers
-holding nearly-degenerate inputs should perturb them deliberately.
+holding nearly-degenerate inputs should perturb them deliberately. A VJP run
+right after its forward map on the same matrix reuses that map's sym_eig.
 
 The finite-difference oracle perturbs symmetric coordinates: the (c, e) and
 (e, c) entries move jointly by h/2 each, so analytic formulas must report

@@ -101,7 +101,11 @@ def write_csv(path, header, rows) -> None:
 def _read_rows(path) -> list:
     """The non-empty rows of a CSV file, each with its 1-based line number."""
     with open(path, newline="") as f:
-        return [(line, row) for line, row in enumerate(csv.reader(f), 1) if row]
+        reader = csv.reader(f)
+        try:
+            return [(line, row) for line, row in enumerate(reader, 1) if row]
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_rows(path, rows: list, ncols: int) -> np.ndarray:
@@ -130,7 +134,10 @@ def _read_numeric(path, header: bool) -> tuple[np.ndarray, list | None]:
     """The data rows as a 2-d array, and the header row or None. np.loadtxt
     reads a valid file; any other, or one holding a quote or a 0x1c-0x1f
     character (loadtxt strips those and float() does not), takes _parse_rows."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not valid {exc.encoding} text") from None
     fast = not any(c in text for c in '"\x1c\x1d\x1e\x1f')
     rows = ([(text.count("\n", 0, m.start()) + 1, m.group().split(","))
              for m in islice(re.finditer("[^\n]+", text), 2)] if fast else _read_rows(path))

@@ -83,6 +83,7 @@ GRASSMANN_SEP_TOL = 1e-8
 
 # slack when checking spectra against an upper bound of 1
 _UPPER_SLACK = 1e-12
+_last_eig = (None, None)  # sym_eig's slot: the last checked input's key and record
 
 
 @dataclass(frozen=True)
@@ -123,22 +124,31 @@ def sym_eig(x) -> EigenDecomposition:
     Asymmetry beyond SYM_TOL (relative to the largest entry) is rejected;
     below it the input is symmetrized. Eigenvalues come out descending and
     each eigenvector is flipped so its largest-magnitude component is
-    nonnegative, with ties broken by the lowest index.
+    nonnegative, with ties broken by the lowest index. One slot keeps the
+    last record, keyed on the input's shape and float64 bytes: a call on the
+    same matrix, as epn_matrix_vjp after epn_matrix, returns that read-only
+    record without a second eigh. Any other byte, -0.0 for 0.0, misses.
     """
+    global _last_eig
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
         raise InputError(f"expected a square matrix, got shape {x.shape}")
+    key = (x.shape, x.tobytes())
+    last_key, last = _last_eig  # one read: a concurrent write can only cause a miss
+    if last_key == key:
+        return last
     _check_finite(x, "matrix", DomainError)
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x - x.T)) > SYM_TOL * scale:
         raise DomainError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(0.5 * x + 0.5 * x.T)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0
     vecs[:, flip] *= -1.0
-    return EigenDecomposition(vals, vecs)
+    eig = EigenDecomposition(vals, vecs)
+    _last_eig = (key, eig)
+    return eig
 
 
 def pn_scalar(lam, spec: PnSpec):

@@ -124,40 +124,42 @@ def outer_power(x, r: int) -> DenseTensor:
     return DenseTensor(data, supersymmetric=True)
 
 
-def _khatri_rao(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Rows scale_n * (x_n outer x_n), flattened to shape (len(x), d*d)."""
-    n, d = x.shape
-    return ((x * scale[:, None])[:, :, None] * x[:, None, :]).reshape(n, d * d)
-
-
 def pool(features: FeatureSet, r: int) -> DenseTensor:
     """Order-r weighted pooling of a feature set (see module docstring).
 
-    Every order is a matrix product: r=2 is q^T q with q = w*phi, r=3 is
-    (w^3 phi (.) phi)^T phi and r=4 is q^T q with q = w^2 phi (.) phi, where
-    (.) is the row-wise Khatri-Rao product. For r >= 3 the rows are summed
-    in blocks of d^(r-2), so the (block, d^2) Khatri-Rao buffer never holds
-    more entries than the result.
+    Only index pairs i <= j are computed, and T equals T.swapaxes(0, 1)
+    exactly: r=2 is q^T q with q = w*phi; r=3 fills T[i, i:, :] with
+    (w^3 phi_i phi_{i:})^T phi and mirrors it to T[i:, i, :]; r=4 gathers
+    the Gram of the packed pair products w^2 phi_i phi_j. For r >= 3 rows
+    are summed in blocks of d^2, so no temporary outsizes the result.
     """
     _check_int(r, "order", 2, MAX_ORDER)
     phi = features.vectors - features.mean
     w = features.weights
     n, d = phi.shape
     if r == 2:
-        q = phi * w[:, None]
-        data = q.T @ q
+        phi *= w[:, None]  # phi is a fresh array, so q needs no second buffer
+        data = phi.T @ phi
+    elif r == 3:
+        data = np.empty((d, d, d))
+        for s in range(0, n, d * d):
+            x, w3 = phi[s : s + d * d], w[s : s + d * d] ** 3
+            for i in range(d):
+                part = (x[:, i:] * (x[:, i] * w3)[:, None]).T @ x
+                data[i, i:] = part if s == 0 else data[i, i:] + part
+        for i in range(d):
+            data[i + 1 :, i] = data[i, i + 1 :]
     else:
-        block = d ** (r - 2)
-        data = np.zeros((d * d, block))
-        for s in range(0, n, block):
-            x, ws = phi[s : s + block], w[s : s + block]
-            if r == 3:
-                data += _khatri_rao(x, ws**3).T @ x
-            else:
-                q = _khatri_rao(x, ws**2)
-                data += q.T @ q
+        iu = np.triu_indices(d)
+        pair = np.empty((d, d), dtype=np.intp)  # position of (i, j) or (j, i) in iu
+        pair[iu] = pair.T[iu] = np.arange(iu[0].size)
+        for s in range(0, n, d * d):
+            x, w2 = phi[s : s + d * d], w[s : s + d * d] ** 2
+            p = (x[:, iu[0]] * w2[:, None]) * x[:, iu[1]]
+            gram = p.T @ p if s == 0 else gram + p.T @ p
+        data = gram[pair][:, :, pair]
     data /= n
-    return DenseTensor(data.reshape((d,) * r), supersymmetric=True)
+    return DenseTensor(data, supersymmetric=True)
 
 
 def frobenius_norm(t: DenseTensor) -> float:

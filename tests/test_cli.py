@@ -455,6 +455,23 @@ def test_sketch_empty_csv_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["pool", "bad.csv", "-r", "2", "--out", "t.hotp"],
+                                  ["gradcheck", "--op", "epn_vjp", "--input", "bad.csv"]])
+def test_csv_not_valid_text_exits_2(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "bad.csv").write_bytes(b"a,b\n1,2\n\xff,3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad.csv: byte 8 is not valid ")
+
+
+def test_csv_cell_over_field_limit_exits_2(tmp_path, capsys):
+    # a quoted cell takes the csv-module row parser, which caps cell length
+    src = _write_csv(tmp_path / "big.csv", 'a,b\n"' + "1" * 140_000 + '",2\n')
+    assert main(["pool", src, "-r", "2", "--out", str(tmp_path / "t.hotp")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}: line 2: field larger than field limit (131072)\n")
+
+
 def test_sketch_plan_rerun_identical(tmp_path):
     rng = np.random.default_rng(14)
     src = tmp_path / "f.csv"

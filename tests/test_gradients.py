@@ -19,6 +19,7 @@ from hotpool import (
     sym_eig,
     unfolded_factor_vjp,
 )
+from hotpool import spectral
 from hotpool.gradients import _check_simple, _pinv_shifted
 from hotpool.spectral import SPSD_KINDS, _pn_deriv, _spsd_values, pn_scalar
 
@@ -246,6 +247,23 @@ def test_epn_vjp_asymmetric_upstream_is_symmetrized():
     a = epn_matrix_vjp(x, spec, up)
     b = epn_matrix_vjp(x, spec, 0.5 * (up + up.T))
     assert_allclose(a, b, atol=1e-14)
+
+
+def test_epn_vjp_after_forward_runs_one_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    monkeypatch.setattr(spectral, "_last_eig", (None, None))
+    x = _spd(41, 6)
+    upstream = np.random.default_rng(41).normal(size=(6, 6))
+    spec = PnSpec("sigme", 4.0)
+    epn_matrix(x, spec)
+    grad = epn_matrix_vjp(x, spec, upstream)
+    assert calls == [(6, 6)]
+    # and the reused decomposition gives the bits of a fresh one
+    spectral._last_eig = (None, None)
+    assert np.array_equal(epn_matrix_vjp(x, spec, upstream), grad)
+    assert len(calls) == 2
 
 
 def test_epn_vjp_rejections():

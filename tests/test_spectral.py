@@ -20,6 +20,7 @@ from hotpool import (
     precision_laplacian,
     sym_eig,
 )
+from hotpool import spectral
 from hotpool.spectral import _OPS, GRASSMANN_SEP_TOL, KINDS, SPSD_KINDS, _pn_deriv
 
 
@@ -76,6 +77,44 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.full((2, 2), np.nan))
     with pytest.raises(InputError):
         sym_eig(np.zeros((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_sym_eig_reuses_only_the_exact_last_input(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    x = a + a.T
+    x[0, -1] = x[-1, 0] = 0.0
+    first = sym_eig(x)
+    assert sym_eig(x.copy()) is first
+    # a fresh decomposition of the same bytes gives the same bits
+    spectral._last_eig = (None, None)
+    fresh = sym_eig(x)
+    assert fresh is not first
+    assert fresh.values.tobytes() == first.values.tobytes()
+    assert fresh.vectors.tobytes() == first.vectors.tobytes()
+    # the sign of a zero, a change in place and another shape all miss
+    z = x.copy()
+    z[0, -1] = z[-1, 0] = -0.0
+    assert sym_eig(z) is not fresh
+    x[0, 0] += 1.0
+    moved = sym_eig(x)
+    assert moved is not fresh
+    assert_allclose(moved.values.sum(), np.trace(x), atol=1e-10 * (1.0 + np.abs(x).sum()))
+    with pytest.raises(InputError):
+        sym_eig(x.reshape(1, -1) if d > 1 else x.reshape(1, 1, 1))
+    assert sym_eig(np.pad(x, (0, 1))).values.shape == (d + 1,)
+    # checks still run right after a valid call, and a refused input is
+    # never remembered
+    asym, inf = x.copy(), x.copy()
+    asym[-1, 0] += 1.0 if d > 1 else np.nan
+    inf[0, 0] = np.inf
+    for bad in (asym, inf):
+        sym_eig(x)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                sym_eig(bad)
 
 
 def test_pn_scalar_values():

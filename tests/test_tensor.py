@@ -1,8 +1,10 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -141,6 +143,46 @@ def test_pool_matches_slice_reference_across_blocks(r, d, n):
     want = _slice_pool(phi - mu, w, r)
     assert np.max(np.abs(t.data - want)) <= 1e-12 * np.max(np.abs(want))
     assert check_supersymmetric(t)
+
+
+def _outer_pool(phi, w, r):
+    """(1/N) sum_n w_n^r phi_n x ... x phi_n, one outer product per row."""
+    return sum(w_n**r * functools.reduce(np.multiply.outer, [p] * r)
+               for p, w_n in zip(phi, w)) / len(phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.integers(1, 60),
+       st.integers(0, 2**32 - 1))
+@example(3, 4, 16, 0)  # N at the row block d^2,
+@example(3, 4, 17, 1)  # one past it,
+@example(4, 3, 28, 2)  # and over three blocks
+def test_pool_matches_outer_products_and_mirrors_pairs(r, d, n, seed):
+    """Weighted, centered pooling against the outer-product sum, with N
+    below d and above d^(r-2) and d^2; the pair scheme makes T equal
+    T.swapaxes(0, 1) bit for bit."""
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=(n, d))
+    w = rng.uniform(0.0, 1.7, size=n)
+    mu = 0.5 * rng.normal(size=d)
+    t = pool(FeatureSet(phi, weights=w, mean=mu), r).data
+    want = _outer_pool(phi - mu, w, r)
+    assert np.max(np.abs(t - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    assert np.array_equal(t, t.swapaxes(0, 1))
+
+
+def test_pool_peak_memory_within_result_plus_input():
+    """Rows are summed in blocks, so at N = 20,000 the temporaries stay
+    small next to the input and the result."""
+    rng = np.random.default_rng(6)
+    fs = FeatureSet(rng.normal(size=(20_000, 8)), weights=rng.uniform(0.1, 1.0, size=20_000))
+    tracemalloc.start()
+    try:
+        t = pool(fs, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (t.data.nbytes + fs.vectors.nbytes)
 
 
 def test_check_supersymmetric_rejects_asymmetric():
