@@ -22,10 +22,10 @@ SUPERSYM_TOL = 1e-12
 
 
 def _owned(a, name: str, dtype=np.float64):
-    """Copy into a fresh C-contiguous read-only array; InputError unless finite."""
+    """Read-only view, never re-writable, of a fresh C-order copy; InputError unless finite."""
     out = _check_finite(np.array(a, dtype=dtype, order="C"), name, InputError)
     out.flags.writeable = False
-    return out
+    return out.view()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hotpool import (
@@ -26,7 +31,8 @@ from hotpool import (
     tpe_dot,
     tpe_dot_factored,
 )
-from hotpool.hosvd import _all_modes
+from hotpool import hosvd
+from hotpool.hosvd import _all_modes, _sym_index
 
 
 def _pooled(seed, d, n=None):
@@ -337,6 +343,66 @@ def test_tpe_dot_factored_mismatch_errors():
     fy = _epn_pipeline(42, 5)
     with pytest.raises(InputError):
         tpe_dot_factored(fx, fy)
+    # a core that does not match its own factor, in either argument order
+    bad = HosvdFactors(np.ones((2, 2, 2)), np.eye(4, 3), kappa_for_order(3))
+    for a, b in ((fx, bad), (bad, fx)):
+        with pytest.raises(InputError, match=r"core dims \(2, 2, 2\) do not match factor rank 3"):
+            tpe_dot_factored(a, b)
+
+
+def _sym_record(rng, r, d, dprime):
+    """A record with a super-symmetric random core and a random (d, d') factor."""
+    core = rng.normal(size=(dprime,) * r)
+    core = sum(core.transpose(p) for p in itertools.permutations(range(r)))
+    return HosvdFactors(core, rng.normal(size=(d, dprime)), kappa_for_order(r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 6), st.data(), st.integers(0, 2**32 - 1))
+def test_tpe_dot_factored_matches_dense_on_packed_records(r, d, data, seed):
+    rng = np.random.default_rng(seed)
+    fx = _sym_record(rng, r, d, data.draw(st.integers(0, d)))
+    fy = _sym_record(rng, r, d, data.draw(st.integers(0, d)))
+    tx, ty = reconstruct(fx), reconstruct(fy)
+    dense = tpe_dot(tx, ty)
+    tol = 1e-12 * frobenius_norm(tx) * frobenius_norm(ty)
+    for a, b in ((fx, fy), (fy, fx)):
+        got = tpe_dot_factored(a, b)
+        assert abs(got - dense) <= tol
+        assert tpe_dot_factored(a, b) == got
+
+
+def test_gallery_dots_build_each_record_once(monkeypatch):
+    query = _epn_pipeline(60, 4)
+    gallery = [_epn_pipeline(61 + k, 4) for k in range(8)]
+    calls = []
+    all_modes = hosvd._all_modes
+    monkeypatch.setattr(hosvd, "_all_modes", lambda a, m: calls.append(a.shape) or all_modes(a, m))
+    first = [tpe_dot_factored(query, e) for e in gallery]
+    assert [tpe_dot_factored(query, e) for e in gallery] == first
+    assert len(calls) == 9
+
+
+def test_sym_index_lists_sorted_tuples_and_multinomials():
+    for d, r in itertools.product(range(1, 6), range(5)):
+        tuples = list(itertools.combinations_with_replacement(range(d), r))
+        flat, root_mult = _sym_index(d, r)
+        assert flat.tolist() == [int(np.ravel_multi_index(t, (d,) * r)) for t in tuples]
+        counts = [
+            math.factorial(r) // math.prod(math.factorial(m) for m in Counter(t).values())
+            for t in tuples
+        ]
+        assert_allclose(root_mult**2, counts, rtol=1e-15)
+
+
+def test_sym_index_peak_memory_below_one_ambient_tensor():
+    tracemalloc.start()
+    try:
+        _sym_index(24, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24**4 * 8
 
 
 def test_subspace_expansion_with_distinct_factors():

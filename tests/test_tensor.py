@@ -374,6 +374,15 @@ def test_records_own_read_only_c_arrays():
     assert _record_arrays()[-2][0].dtype == np.int64
 
 
+def test_record_arrays_cannot_be_made_writable():
+    # a record's arrays are views of its read-only copy, so the flag stays off
+    arrays = _record_arrays()
+    assert len(arrays) == 10
+    for arr, _ in arrays:
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
 def test_feature_set_validation():
     with pytest.raises(InputError):
         FeatureSet(np.zeros((0, 3)))
