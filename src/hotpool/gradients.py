@@ -35,7 +35,7 @@ from .spectral import (
     pn_scalar,
     sym_eig,
 )
-from .tensor import DenseTensor, FeatureSet
+from .tensor import DenseTensor, FeatureSet, _Fresh
 
 EIG_GAP_REL = 1e-6
 
@@ -158,7 +158,7 @@ def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     u = eig.vectors
     g_raw = u @ (_gap_inverse(eig.values).T * (u.T @ upstream)) @ u.T
     mbar = (g_raw + g_raw.T) @ m1
-    return DenseTensor(mbar.reshape(t.dims))
+    return DenseTensor(_Fresh(mbar.reshape(t.dims)))
 
 
 def core_coefficient_grad(features: FeatureSet, u, v, w) -> np.ndarray:

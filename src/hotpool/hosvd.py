@@ -4,7 +4,7 @@ A super-symmetric order-r tensor T factors as T = G x_1 U x_2 U ... x_r U
 with a single orthonormal factor U (d x d') and core G (d' x ... x d').
 U comes from the eigenvectors of the mode-1 Gram matrix M1 M1^T, truncated
 at the rank cutoff d * eps * lambda_max. Record arrays cannot be made writable again
-(writing via .base is unsupported), so tpe_dot_factored's packed memo stays valid.
+(writing via .base is unsupported), so a record's reconstruction and packed memos stay valid.
 
 For a pooled tensor of unit-norm vectors with weights <= 1 and no
 centering, a core entry whose index values occur with multiplicities
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, _check_int, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
-from .tensor import MAX_ORDER, DenseTensor, FeatureSet, _owned, check_supersymmetric, inner
+from .tensor import MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, check_supersymmetric, inner
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -45,11 +45,13 @@ def kappa_for_order(r: int) -> float:
 
 @dataclass(frozen=True)
 class HosvdFactors:
-    """Core tensor, shared factor matrix, and the order's kappa."""
+    """Core tensor, shared factor matrix, and the order's kappa. As on DenseTensor, the
+    supersymmetric flag is set by hosvd_supersym and kept by apply_epn_core."""
 
     core: np.ndarray
     factor: np.ndarray
     kappa: float
+    supersymmetric: bool = False
 
     def __post_init__(self):
         for name in ("core", "factor"):
@@ -65,9 +67,17 @@ class HosvdFactors:
         return self.factor.shape[1]
 
     @functools.cached_property
+    def _dense(self) -> DenseTensor:
+        return DenseTensor(_Fresh(_ambient(self)), self.supersymmetric)
+
+    @functools.cached_property
     def _packed(self) -> np.ndarray:
+        dense = self.__dict__.get("_dense")  # gather from a reconstruction, if one was made
+        a = _ambient(self) if dense is None else dense.data
+        if not (self.supersymmetric or check_supersymmetric(DenseTensor(a))):
+            raise DomainError("core is not super-symmetric; tpe_dot takes any reconstruction")
         flat, root_mult = _sym_index(self.factor.shape[0], self.order)
-        return root_mult * _ambient(self).ravel()[flat]
+        return root_mult * a.ravel()[flat]
 
 
 def _sym_index(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +129,8 @@ def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
     eig = _mode1_gram(t.data)[1]
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
-    return HosvdFactors(_all_modes(t.data, u), u, kappa_for_order(t.order))
+    core = _all_modes(t.data, u)
+    return HosvdFactors(_Fresh(core), u, kappa_for_order(t.order), supersymmetric=True)
 
 
 def _ambient(f: HosvdFactors) -> np.ndarray:
@@ -132,8 +143,9 @@ def _ambient(f: HosvdFactors) -> np.ndarray:
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
-    """Map a core back to the ambient space through the shared factor."""
-    return DenseTensor(_ambient(f), supersymmetric=True)
+    """Map a core back to the ambient space through the shared factor, with the record's
+    flag. Memoized on the record, which holds the d^r tensor while it lives."""
+    return f._dense
 
 
 def _unit(vec, name: str) -> np.ndarray:
@@ -213,7 +225,7 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
         out = sign * g(np.abs(x, out=x), spec.param)
     else:
         out = g(x, spec.param)
-    return HosvdFactors(out, f.factor, f.kappa)
+    return HosvdFactors(_Fresh(out), f.factor, f.kappa, f.supersymmetric)
 
 
 def tpe_dot(gx: DenseTensor, gy: DenseTensor) -> float:
@@ -225,8 +237,9 @@ def tpe_dot_factored(fx: HosvdFactors, fy: HosvdFactors) -> float:
     """Same inner product for super-symmetric cores, as one dot of m-vectors.
 
     A record's first dot memoizes its m = binom(d+r-1, r) sorted-index entries
-    times sqrt(multiplicity), held until it is freed, and forms its d^r ambient
-    tensor: dearer than a 2r d'^(r+1) core transform if d' << d, but once per record.
+    times sqrt(multiplicity), held until it is freed, gathered from reconstruct's memo or
+    a transient d^r ambient tensor: dearer than a 2r d'^(r+1) core transform if d' << d,
+    but once per record. DomainError if an unflagged record is not super-symmetric.
     """
     if fx.order != fy.order:
         raise InputError(f"order mismatch: {fx.order} vs {fy.order}")

@@ -21,10 +21,21 @@ MAX_ORDER = 4
 SUPERSYM_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class _Fresh:
+    """An array the library has just built and holds nowhere else, for a record to adopt."""
+    array: np.ndarray
+
+
 def _owned(a, name: str, dtype=np.float64):
-    """Read-only view, never re-writable, of a fresh C-order copy; InputError unless finite."""
-    out = _check_finite(np.array(a, dtype=dtype, order="C"), name, InputError)
-    out.flags.writeable = False
+    """Read-only view, never re-writable, of a fresh C-order copy; InputError unless finite.
+    A _Fresh array is adopted instead, converted only if not C-order dtype, and frozen
+    with the buffer it views (a reshape or a gather leaves one)."""
+    fresh = isinstance(a, _Fresh)
+    out = np.asarray(a.array, dtype, order="C") if fresh else np.array(a, dtype, order="C")
+    _check_finite(out, name, InputError).flags.writeable = False
+    if fresh and isinstance(out.base, np.ndarray):
+        out.base.flags.writeable = False
     return out.view()
 
 
@@ -121,7 +132,7 @@ def outer_power(x, r: int) -> DenseTensor:
     data = x
     for _ in range(r - 1):
         data = np.multiply.outer(data, x)
-    return DenseTensor(data, supersymmetric=True)
+    return DenseTensor(_Fresh(data), supersymmetric=True)
 
 
 def pool(features: FeatureSet, r: int) -> DenseTensor:
@@ -159,7 +170,7 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
             gram = p.T @ p if s == 0 else gram + p.T @ p
         data = gram[pair][:, :, pair]
     data /= n
-    return DenseTensor(data, supersymmetric=True)
+    return DenseTensor(_Fresh(data), supersymmetric=True)
 
 
 def frobenius_norm(t: DenseTensor) -> float:

@@ -17,6 +17,7 @@ from hotpool import (
     InputError,
     PnSpec,
     apply_epn_core,
+    check_supersymmetric,
     core_coefficient,
     core_coefficient_grad,
     detector_likelihood,
@@ -381,6 +382,59 @@ def test_gallery_dots_build_each_record_once(monkeypatch):
     first = [tpe_dot_factored(query, e) for e in gallery]
     assert [tpe_dot_factored(query, e) for e in gallery] == first
     assert len(calls) == 9
+
+
+def test_query_ambient_tensor_built_once(monkeypatch):
+    """reconstruct memoizes on the record, and the query's first dot gathers
+    from that reconstruction instead of forming the ambient tensor again."""
+    query = _epn_pipeline(60, 4)
+    gallery = [_epn_pipeline(61 + k, 4) for k in range(8)]
+    calls = []
+    all_modes = hosvd._all_modes
+    monkeypatch.setattr(hosvd, "_all_modes", lambda a, m: calls.append(a) or all_modes(a, m))
+    rec = reconstruct(query)
+    assert reconstruct(query) is rec
+    dots = [tpe_dot_factored(query, e) for e in gallery]
+    assert sum(a is query.core for a in calls) == 1
+    assert len(calls) == 9
+    assert dots == [tpe_dot_factored(e, query) for e in gallery]
+
+
+def test_reconstructed_query_dot_peak_memory_below_one_ambient_tensor():
+    rng = np.random.default_rng(62)
+    g, e = (apply_epn_core(hosvd_supersym(pool(FeatureSet(rng.normal(size=(40, 24))), 4)),
+                           PnSpec("sigme", 4)) for _ in range(2))
+    tpe_dot_factored(e, e)
+    reconstruct(g)
+    tracemalloc.start()
+    try:
+        tpe_dot_factored(g, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24**4 * 8
+
+
+def test_records_carry_the_supersymmetric_flag():
+    f = _epn_pipeline(63, 4)
+    assert f.supersymmetric and hosvd_supersym(_pooled(63, 4)).supersymmetric
+    assert reconstruct(f).supersymmetric
+    plain = HosvdFactors(f.core, f.factor, f.kappa)
+    assert not plain.supersymmetric
+    assert not apply_epn_core(plain, PnSpec("sigme", 4)).supersymmetric
+    # an unflagged super-symmetric record is verified and then dots as before
+    assert tpe_dot_factored(plain, f) == tpe_dot_factored(f, f)
+
+
+def test_factored_dot_refuses_unflagged_asymmetric_core():
+    rng = np.random.default_rng(0)
+    f = HosvdFactors(rng.normal(size=(3, 3, 3)), np.eye(3), 1.0)
+    rec = reconstruct(f)
+    assert not rec.supersymmetric and not check_supersymmetric(rec)
+    assert_allclose(tpe_dot(rec, rec), np.sum(f.core**2), rtol=1e-14)
+    for a, b in ((f, f), (f, _sym_record(rng, 3, 3, 3)), (_sym_record(rng, 3, 3, 3), f)):
+        with pytest.raises(DomainError, match="core is not super-symmetric"):
+            tpe_dot_factored(a, b)
 
 
 def test_sym_index_lists_sorted_tuples_and_multinomials():

@@ -13,16 +13,21 @@ from hotpool import (
     FeatureSet,
     HosvdFactors,
     InputError,
+    PnSpec,
     SketchPlan,
+    apply_epn_core,
     check_supersymmetric,
     frobenius_norm,
+    hosvd_supersym,
     inner,
     mode_product,
     outer_power,
     pool,
+    reconstruct,
     refold,
     sym_eig,
     unfold,
+    unfolded_factor_vjp,
 )
 
 
@@ -381,6 +386,32 @@ def test_record_arrays_cannot_be_made_writable():
     for arr, _ in arrays:
         with pytest.raises(ValueError):
             arr.flags.writeable = True
+
+
+def test_adopted_arrays_stay_frozen():
+    # pool, hosvd_supersym, apply_epn_core, reconstruct, outer_power and
+    # unfolded_factor_vjp hand records the arrays they just built, reshaped or
+    # gathered ones included, and the buffer a view shares is frozen with it
+    rng = np.random.default_rng(14)
+    arrays = []
+    for r in (2, 3, 4):
+        t = pool(FeatureSet(rng.normal(size=(20, 4))), r)
+        f = hosvd_supersym(t)
+        g = apply_epn_core(f, PnSpec("sigme", 4))
+        arrays += [t.data, f.core, g.core, reconstruct(g).data, outer_power(np.ones(3), r).data]
+    arrays.append(unfolded_factor_vjp(pool(FeatureSet(rng.normal(size=(20, 4))), 3),
+                                      rng.normal(size=(4, 4))).data)
+    for arr in arrays:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
+def test_adopted_arrays_are_checked_finite():
+    huge = HosvdFactors(np.full((2, 2, 2), 1e300), np.full((3, 2), 1e10), 1.0)
+    for build in (lambda: pool(FeatureSet(np.full((3, 2), 1e120)), 3), lambda: reconstruct(huge)):
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="tensor must be finite"):
+            build()
 
 
 def test_feature_set_validation():
