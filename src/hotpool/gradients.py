@@ -1,10 +1,10 @@
 """Analytic derivatives through eigendecomposition, matrix maps, and cores.
 
-All eigen-derivative formulas assume a simple spectrum: an eigengap at or
-below 1e-6 relative to the spectral radius is a hard error rather than a
-jitter, since the underlying derivative genuinely blows up there. Callers
-holding nearly-degenerate inputs should perturb them deliberately. A VJP run
-right after its forward map on the same matrix reuses that map's sym_eig.
+Eigenvalue, eigenvector and shared-factor derivatives need a simple
+spectrum: an eigengap at or below 1e-6 of the spectral radius is a hard
+error, since they genuinely blow up there. epn_matrix_vjp is defined at every
+symmetric X, ties included. A VJP run right after its forward map on the
+same matrix reuses that map's sym_eig.
 
 The finite-difference oracle perturbs symmetric coordinates: the (c, e) and
 (e, c) entries move jointly by h/2 each, so analytic formulas must report
@@ -38,6 +38,8 @@ from .spectral import (
 from .tensor import DenseTensor, FeatureSet, _Fresh
 
 EIG_GAP_REL = 1e-6
+# eps^(1/3) balances the midpoint rule's O(gap^2) error and the O(eps/gap) cancellation
+_TIE_REL = np.finfo(np.float64).eps ** (1.0 / 3.0)
 
 
 def _check_simple(values: np.ndarray, i: int | None = None) -> None:
@@ -46,9 +48,6 @@ def _check_simple(values: np.ndarray, i: int | None = None) -> None:
     With i given only gaps involving that (0-based) index matter; otherwise
     every pair must be separated.
     """
-    d = values.shape[0]
-    if d < 2:
-        return
     scale = max(float(np.max(np.abs(values))), np.finfo(np.float64).tiny)
     diffs = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(diffs, np.inf)
@@ -77,8 +76,8 @@ def _gap_inverse(values: np.ndarray) -> np.ndarray:
     """Divided-difference matrix F[j, k] = 1 / (lambda_j - lambda_k).
 
     Entries with lambda_j == lambda_k, the diagonal among them, are zero:
-    the pseudo-inverse convention. Callers that need every gap run
-    _check_simple first.
+    the pseudo-inverse convention. epn_matrix_vjp overwrites every near
+    pair; the other callers run _check_simple first.
     """
     diff = values[:, None] - values[None, :]
     return np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0.0)
@@ -119,21 +118,23 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     Differentiates X -> U g(diag(lambda)) U^T without spectrum
     normalization, in the Daleckii-Krein form U (L o U^T W U) U^T with W
     the symmetrized upstream, o the entrywise product, and the Loewner
-    matrix L_jk = (g(lambda_j) - g(lambda_k)) / (lambda_j - lambda_k),
-    L_jj = g'(lambda_j). The diagonal of L carries the eigenvalue term,
-    the rest the eigenvector term.
+    matrix L_jk = (g(lambda_j) - g(lambda_k)) / (lambda_j - lambda_k). Near
+    pairs, |lambda_j - lambda_k| <= eps^(1/3) max|lambda| with the diagonal
+    among them, take g' at their midpoint, so ties need no eigengap. The
+    diagonal of L carries the eigenvalue term, the rest the eigenvector term.
     """
     if spec.kind == "grassmann":
         raise DomainError("grassmann has no pointwise derivative")
     eig = sym_eig(x)
     upstream = _checked_upstream(upstream, eig.values.shape[0])
-    _check_simple(eig.values)
     vals = eig.values
     if spec.kind in SPSD_KINDS:
         vals = _spsd_values(vals, spec.kind)
     g = pn_scalar(vals, spec)
     loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
-    np.fill_diagonal(loewner, _pn_deriv(vals, spec))
+    near = np.abs(vals[:, None] - vals) <= _TIE_REL * np.max(np.abs(vals))
+    j, k = np.divmod(np.flatnonzero(near), len(vals))  # twice np.nonzero's speed on 2-d masks
+    loewner[j, k] = _pn_deriv(0.5 * (vals[j] + vals[k]), spec)
     w = 0.5 * (upstream + upstream.T)
     u = eig.vectors
     return u @ (loewner * (u.T @ w @ u)) @ u.T
@@ -148,10 +149,8 @@ def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     step is G = U (F^T o U^T Ubar) U^T with Ubar the upstream, o the
     entrywise product and F_jk = 1 / (lambda_j - lambda_k) (zero diagonal),
     the M1 step is d(S) = dM M1^T + M1 dM^T, so Mbar = (G + G^T) M1, and
-    Mbar reshapes back to the dims of T.
+    Mbar reshapes back to the dims of T, at any order.
     """
-    if t.order != 3:
-        raise InputError(f"expected an order-3 tensor, got order {t.order}")
     m1, eig = _mode1_gram(t.data)
     upstream = _checked_upstream(upstream, eig.values.shape[0])
     _check_simple(eig.values)
@@ -191,6 +190,7 @@ class MatrixGradient:
                 f"upstream shape {upstream.shape} does not match output "
                 f"shape {self.jac.shape[:out_ndim]}"
             )
+        _check_finite(upstream, "upstream", DomainError)
         return np.tensordot(upstream, self.jac, axes=(
             tuple(range(out_ndim)), tuple(range(out_ndim))
         ))
@@ -206,6 +206,7 @@ def finite_diff_oracle(f, x, h: float = 1e-5) -> MatrixGradient:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"expected a square matrix, got shape {x.shape}")
+    _check_finite(x, "matrix", DomainError)
     h = _check_real(h, "step", 0.0)
     d = x.shape[0]
     base = np.asarray(f(x), dtype=np.float64)
@@ -213,11 +214,8 @@ def finite_diff_oracle(f, x, h: float = 1e-5) -> MatrixGradient:
     for c in range(d):
         for e in range(c, d):
             s = np.zeros((d, d))
-            if c == e:
-                s[c, c] = 1.0
-            else:
-                s[c, e] = 0.5
-                s[e, c] = 0.5
+            s[c, e] += 0.5  # a diagonal direction takes both halves
+            s[e, c] += 0.5
             plus = np.asarray(f(x + h * s), dtype=np.float64)
             minus = np.asarray(f(x - h * s), dtype=np.float64)
             if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):

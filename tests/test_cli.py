@@ -241,6 +241,16 @@ def test_gradcheck_degenerate_input_exits_4(tmp_path):
     assert "separated" in res.stderr
 
 
+def test_gradcheck_epn_vjp_at_a_tie_passes(tmp_path):
+    # the eigenvalue map's derivative exists at a repeated eigenvalue
+    src = tmp_path / "m.csv"
+    write_matrix_csv(str(src), np.diag([0.5, 0.5, 0.1]))
+    res = run_cli("gradcheck", "--op", "epn_vjp", "--input", src)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["pass"] is True and doc["d"] == 3
+
+
 def test_gradcheck_unknown_op():
     res = run_cli("gradcheck", "--op", "nope")
     assert res.returncode == 2

@@ -278,6 +278,10 @@ _ARRAY_SITES = {
     "unfolded_factor_vjp": (
         lambda a: unfolded_factor_vjp(pool(FeatureSet(np.diag([3.0, 2.0, 1.0])), 3), a),
         np.eye(3), DomainError, "upstream must be finite"),
+    "MatrixGradient.vjp": (lambda a: finite_diff_oracle(lambda m: m, np.eye(2)).vjp(a),
+                           np.eye(2), DomainError, "upstream must be finite"),
+    "finite_diff_oracle": (lambda a: finite_diff_oracle(np.trace, a), np.eye(2), DomainError,
+                           "matrix must be finite"),
     "pushforward_spectrum": (lambda a: pushforward_spectrum(a, PnSpec("maxexp", 2.0)),
                              np.full(4, 0.5), DomainError, "samples must be finite"),
     "detector_curve": (lambda a: detector_curve(a, 2.0), np.full(4, 0.5), DomainError,

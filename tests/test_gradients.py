@@ -1,7 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import hotpool
 from hotpool import (
     DegenerateSpectrumError,
     DomainError,
@@ -20,7 +26,7 @@ from hotpool import (
     unfolded_factor_vjp,
 )
 from hotpool import spectral
-from hotpool.gradients import _check_simple, _pinv_shifted
+from hotpool.gradients import _TIE_REL, _check_simple, _pinv_shifted
 from hotpool.spectral import SPSD_KINDS, _pn_deriv, _spsd_values, pn_scalar
 
 
@@ -270,12 +276,48 @@ def test_epn_vjp_rejections():
     x = _spd(72, 4)
     with pytest.raises(DomainError):
         epn_matrix_vjp(x, PnSpec("grassmann", 1), np.eye(4))
-    with pytest.raises(DegenerateSpectrumError):
-        epn_matrix_vjp(np.diag([0.5, 0.5, 0.1]), PnSpec("sigme", 2), np.eye(3))
+    # an exact tie is not refused: the derivative exists there and matches the oracle
+    tie, spec = np.diag([0.5, 0.5, 0.1]), PnSpec("sigme", 2)
+    up = np.random.default_rng(72).normal(size=(3, 3))
+    oracle = finite_diff_oracle(lambda m: epn_matrix(m, spec), tie)
+    assert _rel_err(epn_matrix_vjp(tie, spec, up), oracle.vjp(up)) < 1e-6
     with pytest.raises(InputError):
         epn_matrix_vjp(x, PnSpec("sigme", 2), np.eye(3))
     with pytest.raises(DomainError):
         epn_matrix_vjp(np.diag([1.4, 0.7, 0.2]), PnSpec("maxexp", 3), np.eye(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(_POINTWISE_SPECS), d=st.integers(2, 6),
+       case=st.sampled_from(["exact", "triple", "split 0.5", "split 2"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_epn_vjp_matches_finite_differences_at_ties(spec, d, case, seed):
+    """Q diag(lambda) Q^T with lambda_2 (and lambda_3) tied to lambda_1, or split
+    from it by 0.5 or 2 times the near-pair threshold, on either side of it."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = rng.uniform(0.2, 0.95, size=d)
+    radius = np.delete(lam, 1).max()  # lambda_2 is set below lambda_1, so this stays the radius
+    if case.startswith("split"):
+        lam[1] = lam[0] - float(case.split()[1]) * _TIE_REL * radius
+    else:
+        lam[1:3 if case == "triple" else 2] = lam[0]
+    x = q @ np.diag(lam) @ q.T
+    x = 0.5 * (x + x.T)
+    up = rng.normal(size=(d, d))
+    oracle = finite_diff_oracle(lambda m: epn_matrix(m, spec), x)
+    assert _rel_err(epn_matrix_vjp(x, spec, up), oracle.vjp(up)) < 1e-6
+
+
+def test_check_simple_is_called_only_where_the_derivative_blows_up():
+    callers = set()
+    for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_simple"
+                   for node in ast.walk(top)):
+                callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("gradients", "eig_value_grad"), ("gradients", "eig_vector_grad"),
+                       ("gradients", "unfolded_factor_vjp")}
 
 
 def test_degenerate_error_is_a_domain_error():
@@ -295,20 +337,25 @@ def test_unfolded_factor_vjp_zero_upstream():
     assert np.array_equal(out.data, np.zeros((4, 4, 4)))
 
 
-def test_unfolded_factor_vjp_finite_diff():
-    rng = np.random.default_rng(74)
-    t = pool(FeatureSet(rng.normal(size=(8, 4))), 3)
-    upstream = rng.normal(size=(4, 4))
-    got = unfolded_factor_vjp(t, upstream)
-    h = 1e-6
-    fd = np.zeros((4, 4, 4))
-    for idx in np.ndindex(4, 4, 4):
+def _factor_fd(t, upstream, h=1e-6):
+    """Central differences of _factor_loss, one tensor entry at a time."""
+    fd = np.zeros(t.dims)
+    for idx in np.ndindex(*t.dims):
         plus = t.data.copy()
         plus[idx] += h
         minus = t.data.copy()
         minus[idx] -= h
         fd[idx] = (_factor_loss(plus, upstream) - _factor_loss(minus, upstream)) / (2 * h)
-    assert _rel_err(got.data, fd) < 1e-4
+    return fd
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_unfolded_factor_vjp_finite_diff(r):
+    rng = np.random.default_rng(74)
+    t = pool(FeatureSet(rng.normal(size=(8, 4))), r)
+    upstream = rng.normal(size=(4, 4))
+    got = unfolded_factor_vjp(t, upstream)
+    assert _rel_err(got.data, _factor_fd(t, upstream)) < 1e-4
 
 
 def test_unfolded_factor_vjp_permutation_symmetrized():
@@ -334,9 +381,10 @@ def test_unfolded_factor_vjp_permutation_symmetrized():
 
 def test_unfolded_factor_vjp_validation():
     rng = np.random.default_rng(76)
+    # order 2 is not refused: the formula uses only the mode-1 rows
     t = pool(FeatureSet(rng.normal(size=(6, 3))), 2)
-    with pytest.raises(InputError):
-        unfolded_factor_vjp(t, np.zeros((3, 3)))
+    upstream = rng.normal(size=(3, 3))
+    assert _rel_err(unfolded_factor_vjp(t, upstream).data, _factor_fd(t, upstream)) < 1e-4
     t3 = pool(FeatureSet(rng.normal(size=(6, 3))), 3)
     with pytest.raises(InputError):
         unfolded_factor_vjp(t3, np.zeros((2, 2)))
