@@ -38,8 +38,6 @@ from .spectral import (
 from .tensor import DenseTensor, FeatureSet, _Fresh
 
 EIG_GAP_REL = 1e-6
-# eps^(1/3) balances the midpoint rule's O(gap^2) error and the O(eps/gap) cancellation
-_TIE_REL = np.finfo(np.float64).eps ** (1.0 / 3.0)
 
 
 def _check_simple(values: np.ndarray, i: int | None = None) -> None:
@@ -48,6 +46,9 @@ def _check_simple(values: np.ndarray, i: int | None = None) -> None:
     With i given only gaps involving that (0-based) index matter; otherwise
     every pair must be separated.
     """
+    d = values.shape[0]
+    if d < 2:
+        return
     scale = max(float(np.max(np.abs(values))), np.finfo(np.float64).tiny)
     diffs = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(diffs, np.inf)
@@ -105,10 +106,10 @@ def eig_vector_grad(x, i: int, j: int) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _checked_upstream(upstream, d: int) -> np.ndarray:
+def _checked_upstream(upstream, shape: tuple) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (d, d):
-        raise InputError(f"upstream must have shape ({d}, {d}), got {upstream.shape}")
+    if upstream.shape != shape:
+        raise InputError(f"upstream must have shape {shape}, got {upstream.shape}")
     return _check_finite(upstream, "upstream", DomainError)
 
 
@@ -118,21 +119,27 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     Differentiates X -> U g(diag(lambda)) U^T without spectrum
     normalization, in the Daleckii-Krein form U (L o U^T W U) U^T with W
     the symmetrized upstream, o the entrywise product, and the Loewner
-    matrix L_jk = (g(lambda_j) - g(lambda_k)) / (lambda_j - lambda_k). Near
-    pairs, |lambda_j - lambda_k| <= eps^(1/3) max|lambda| with the diagonal
-    among them, take g' at their midpoint, so ties need no eigengap. The
+    matrix L_jk = (g(lambda_j) - g(lambda_k)) / (lambda_j - lambda_k). The
     diagonal of L carries the eigenvalue term, the rest the eigenvector term.
+
+    Near pairs, the diagonal among them, take g' at their midpoint, so ties
+    need no eigengap. A pair is near when its gap is at most EIG_GAP_REL
+    times its scale: the larger distance of the two from 0, or for maxexp,
+    which rounds on the scale of 1, from 1 but at most the spectral radius.
+    The midpoint's error grows as (gap / scale)^2, the divided difference's
+    rounding as scale / gap. Pairs that _check_simple accepts are not near.
     """
     if spec.kind == "grassmann":
         raise DomainError("grassmann has no pointwise derivative")
     eig = sym_eig(x)
-    upstream = _checked_upstream(upstream, eig.values.shape[0])
+    upstream = _checked_upstream(upstream, eig.vectors.shape)
     vals = eig.values
     if spec.kind in SPSD_KINDS:
         vals = _spsd_values(vals, spec.kind)
     g = pn_scalar(vals, spec)
     loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
-    near = np.abs(vals[:, None] - vals) <= _TIE_REL * np.max(np.abs(vals))
+    scale = np.minimum(np.abs(1.0 - vals), vals[0]) if spec.kind == "maxexp" else np.abs(vals)
+    near = np.abs(vals[:, None] - vals) <= EIG_GAP_REL * np.maximum(scale[:, None], scale)
     j, k = np.divmod(np.flatnonzero(near), len(vals))  # twice np.nonzero's speed on 2-d masks
     loewner[j, k] = _pn_deriv(0.5 * (vals[j] + vals[k]), spec)
     w = 0.5 * (upstream + upstream.T)
@@ -152,7 +159,7 @@ def unfolded_factor_vjp(t: DenseTensor, upstream) -> DenseTensor:
     Mbar reshapes back to the dims of T, at any order.
     """
     m1, eig = _mode1_gram(t.data)
-    upstream = _checked_upstream(upstream, eig.values.shape[0])
+    upstream = _checked_upstream(upstream, eig.vectors.shape)
     _check_simple(eig.values)
     u = eig.vectors
     g_raw = u @ (_gap_inverse(eig.values).T * (u.T @ upstream)) @ u.T
@@ -183,17 +190,9 @@ class MatrixGradient:
     jac: np.ndarray
 
     def vjp(self, upstream) -> np.ndarray:
-        upstream = np.asarray(upstream, dtype=np.float64)
         out_ndim = self.jac.ndim - 2
-        if upstream.shape != self.jac.shape[:out_ndim]:
-            raise InputError(
-                f"upstream shape {upstream.shape} does not match output "
-                f"shape {self.jac.shape[:out_ndim]}"
-            )
-        _check_finite(upstream, "upstream", DomainError)
-        return np.tensordot(upstream, self.jac, axes=(
-            tuple(range(out_ndim)), tuple(range(out_ndim))
-        ))
+        upstream = _checked_upstream(upstream, self.jac.shape[:out_ndim])
+        return np.tensordot(upstream, self.jac, axes=out_ndim)
 
 
 def finite_diff_oracle(f, x, h: float = 1e-5) -> MatrixGradient:
@@ -214,8 +213,11 @@ def finite_diff_oracle(f, x, h: float = 1e-5) -> MatrixGradient:
     for c in range(d):
         for e in range(c, d):
             s = np.zeros((d, d))
-            s[c, e] += 0.5  # a diagonal direction takes both halves
-            s[e, c] += 0.5
+            if c == e:
+                s[c, c] = 1.0
+            else:
+                s[c, e] = 0.5
+                s[e, c] = 0.5
             plus = np.asarray(f(x + h * s), dtype=np.float64)
             minus = np.asarray(f(x - h * s), dtype=np.float64)
             if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):

@@ -173,7 +173,7 @@ def pn_scalar(lam, spec: PnSpec):
 
 
 def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
-    """Pointwise derivative g'(lambda) for differentiable kinds.
+    """g'(lambda) for differentiable kinds, taken at a finite upper end above it.
 
     The half-line kinds need a strictly positive spectrum: gamma's
     p x^(p-1) is singular at zero and hdp's (t/x^2) e^(-t/x) undefined.
@@ -183,7 +183,7 @@ def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
         raise DomainError(f"{spec.kind} has no pointwise derivative")
     if op.domain == _HALF_LINE and np.any(values <= 0.0):
         raise DomainError(f"{spec.kind} derivative needs a strictly positive spectrum")
-    return op.dg(values, spec.param)
+    return op.dg(np.minimum(values, op.domain[1]), spec.param)
 
 
 def normalize_spectrum(values) -> np.ndarray:

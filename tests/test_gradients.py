@@ -1,4 +1,5 @@
 import ast
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from hotpool import (
     unfolded_factor_vjp,
 )
 from hotpool import spectral
-from hotpool.gradients import _TIE_REL, _check_simple, _pinv_shifted
+from hotpool.gradients import EIG_GAP_REL, _check_simple, _gap_inverse, _pinv_shifted
 from hotpool.spectral import SPSD_KINDS, _pn_deriv, _spsd_values, pn_scalar
 
 
@@ -204,6 +205,13 @@ def test_epn_vjp_hdp_tiny_eigenvalue_is_finite():
     assert_allclose(np.diag(got)[:2], _pn_deriv(np.array([1.0, 0.5]), spec), rtol=1e-15)
 
 
+def test_epn_vjp_maxexp_takes_g_prime_at_one_within_the_slack():
+    # pn_scalar clamps an excess of 1e-12 above 1; g' must too, or 0 ** 1.5 turns NaN
+    spec = PnSpec("maxexp", 2.5)
+    got = epn_matrix_vjp(np.diag([1 + 5e-13, 0.5, 0.2]), spec, np.eye(3))
+    assert_allclose(got, np.diag(_pn_deriv(np.array([1.0, 0.5, 0.2]), spec)), rtol=1e-15)
+
+
 def test_epn_vjp_identity_spec_symmetrizes():
     x = _spd(65, 5)
     rng = np.random.default_rng(66)
@@ -299,7 +307,9 @@ def test_epn_vjp_matches_finite_differences_at_ties(spec, d, case, seed):
     lam = rng.uniform(0.2, 0.95, size=d)
     radius = np.delete(lam, 1).max()  # lambda_2 is set below lambda_1, so this stays the radius
     if case.startswith("split"):
-        lam[1] = lam[0] - float(case.split()[1]) * _TIE_REL * radius
+        # the pair's scale: lambda_1 itself, or for maxexp its distance from 1 within the radius
+        scale = min(1.0 - lam[0], radius) if spec.kind == "maxexp" else lam[0]
+        lam[1] = lam[0] - float(case.split()[1]) * EIG_GAP_REL * scale
     else:
         lam[1:3 if case == "triple" else 2] = lam[0]
     x = q @ np.diag(lam) @ q.T
@@ -307,6 +317,85 @@ def test_epn_vjp_matches_finite_differences_at_ties(spec, d, case, seed):
     up = rng.normal(size=(d, d))
     oracle = finite_diff_oracle(lambda m: epn_matrix(m, spec), x)
     assert _rel_err(epn_matrix_vjp(x, spec, up), oracle.vjp(up)) < 1e-6
+
+
+def _rotated(rng, lam):
+    q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    x = q @ np.diag(lam) @ q.T
+    return q, 0.5 * (x + x.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(_POINTWISE_SPECS), d=st.integers(2, 6),
+       factor=st.sampled_from([1.01, 2.0, 6.5, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_epn_vjp_is_the_divided_difference_wherever_check_simple_accepts(spec, d, factor, seed):
+    """A gap just above EIG_GAP_REL of the radius keeps the divided difference
+    bit for bit: off the diagonal no entry is a midpoint derivative."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.2, 0.95, size=d)
+    lam[1] = lam[0] - factor * EIG_GAP_REL * np.delete(lam, 1).max()
+    q, x = _rotated(rng, lam)
+    up = rng.normal(size=(d, d))
+    eig = sym_eig(x)
+    _check_simple(eig.values)
+    loewner = np.subtract.outer(*2 * [pn_scalar(eig.values, spec)]) * _gap_inverse(eig.values)
+    np.fill_diagonal(loewner, _pn_deriv(eig.values, spec))
+    u, w = eig.vectors, 0.5 * (up + up.T)
+    assert np.array_equal(epn_matrix_vjp(x, spec, up), u @ (loewner * (u.T @ w @ u)) @ u.T)
+
+
+def _decimal_loewner(lam, spec):
+    """Loewner matrix of g at the exact float values lam in 40-digit decimal
+    arithmetic: divided differences between distinct values, g' at ties."""
+    p = Decimal(spec.param)
+    g, dg = {
+        "gamma": (lambda x: x**p, lambda x: p * x ** (p - 1)),
+        "maxexp": (lambda x: 1 - (1 - x) ** p, lambda x: p * (1 - x) ** (p - 1)),
+        "hdp": (lambda x: (-p / x).exp(), lambda x: p / x**2 * (-p / x).exp()),
+    }[spec.kind]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        xs = [Decimal(float(v)) for v in lam]
+        return np.array([[float(dg(a) if a == b else (g(a) - g(b)) / (a - b)) for b in xs]
+                         for a in xs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gamma 0.5", "gamma 0.7", "hdp", "maxexp 1.5", "maxexp 2.5"]),
+       d=st.integers(3, 6), dist=st.floats(1e-7, 3e-6), ratio=st.sampled_from([1.0, 1.5, 5.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_epn_vjp_near_a_singular_point_matches_exact_divided_differences(kind, d, dist, ratio, seed):
+    """Two eigenvalues at dist and ratio * dist from where g is singular, 0 for
+    gamma and hdp and 1 for maxexp, next to a radius of 1: their gap is about
+    their own size, far below EIG_GAP_REL of the radius. Finite differences
+    would step out of the domain, so the reference is the Daleckii-Krein form
+    at the exact eigenvalues."""
+    name, _, param = kind.partition(" ")
+    spec = PnSpec(name, float(param) if param else dist)  # hdp's time constant sits at the cluster
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.2, 0.95, size=d)
+    lam[:3] = 1.0, dist, ratio * dist
+    if name == "maxexp":
+        lam[1:3] = 1.0 - lam[1:3]
+        lam[0] = 0.1
+    q, x = _rotated(rng, lam)
+    up = rng.normal(size=(d, d))
+    w = 0.5 * (up + up.T)
+    want = q @ (_decimal_loewner(lam, spec) * (q.T @ w @ q)) @ q.T
+    assert _rel_err(epn_matrix_vjp(x, spec, up), want) < 1e-6
+
+
+@pytest.mark.parametrize("lam, spec, pair, entry", [
+    ([1.0, 5e-6, 1e-6], PnSpec("gamma", 0.5), (1, 2), (np.sqrt(5e-6) - np.sqrt(1e-6)) / 4e-6),
+    ([1.0, 1.0 - 5e-6, 0.5], PnSpec("maxexp", 1.5), (0, 1), np.sqrt(5e-6)),
+])
+def test_epn_vjp_keeps_a_gap_as_wide_as_its_pair(lam, spec, pair, entry):
+    # on a diagonal input in descending order, the upstream e_j e_k^T + e_k e_j^T
+    # reads the Loewner entry L[j, k] off the (j, k) entry of the result
+    up = np.zeros((3, 3))
+    up[pair] = up[pair[::-1]] = 1.0
+    got = epn_matrix_vjp(np.diag(lam), spec, up)
+    assert_allclose(got[pair], entry, rtol=1e-7)
 
 
 def test_check_simple_is_called_only_where_the_derivative_blows_up():
