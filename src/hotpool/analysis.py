@@ -53,6 +53,9 @@ EPS2_SLACK = 1e-9
 
 DEFAULT_LAM_STEP = 1e-4
 
+# most points of any swept or plotted grid: 100x fig1's default sample count
+MAX_GRID = 10**7
+
 
 def _t_of_eta(eta: float) -> float:
     # (eta/(eta+1))^eta / (eta+1) through log1p: the log form
@@ -73,10 +76,10 @@ def eta_of_t(t: float) -> float:
 
     The approximation 0.5*sqrt(4/(t^2 (e-1)^2) + 1) - 0.5 is accurate for
     large eta and drifts by a few percent near eta = 1; eta_of_t_exact is
-    the reference inverse.
+    the reference inverse. hypot keeps it finite where t^2 underflows.
     """
     t = _check_real(t, "t", 0.0, T_ETA_MAX, "(]")
-    return 0.5 * math.sqrt(4.0 / (t * t * (E - 1.0) ** 2) + 1.0) - 0.5
+    return 0.5 * math.hypot(2.0 / (t * (E - 1.0)), 1.0) - 0.5
 
 
 def eta_of_t_exact(t: float) -> float:
@@ -164,9 +167,9 @@ def report_json(report: BoundReport) -> str:
 
 def _grid_open(lo: float, hi: float, step: float) -> np.ndarray:
     """Multiples of step inside (lo, hi] for lo < hi, with hi as the last point."""
+    if (hi - lo) / step > MAX_GRID:
+        raise InputError(f"lambda step {step} gives more than {MAX_GRID} grid points")
     k0 = int(math.floor(lo / step)) + 1
-    while k0 * step <= lo:
-        k0 += 1
     kn = int(math.floor(hi / step + 1e-9))
     lam = np.arange(k0, kn + 1, dtype=np.float64) * step
     lam = lam[lam > lo]

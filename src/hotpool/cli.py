@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, gradients, hosvd, io, sketch, spectral, tensor
-from .errors import DegenerateSpectrumError, DomainError, InputError
+from .errors import DomainError, InputError
 
 _JSON_KW = {"sort_keys": True, "indent": 2}
 
@@ -110,16 +110,12 @@ def cmd_epn(args) -> int:
     t = io.read_tensor(args.input)
     spec = _parse_spec(args.spec)
     if t.order == 2:
-        out = spectral.epn_matrix(t.data, spec, normalize=args.normalize)
-        io.write_tensor(args.out, tensor.DenseTensor(out))
-    elif t.order == 3:
+        out = tensor.DenseTensor(spectral.epn_matrix(t.data, spec, normalize=args.normalize))
+    else:
         if args.normalize:
             raise InputError("--normalize applies to order-2 input only")
-        factors = hosvd.hosvd_supersym(t)
-        normalized = hosvd.apply_epn_core(factors, spec)
-        io.write_tensor(args.out, hosvd.reconstruct(normalized))
-    else:
-        raise InputError(f"normalization supports orders 2 and 3, got {t.order}")
+        out = hosvd.reconstruct(hosvd.apply_epn_core(hosvd.hosvd_supersym(t), spec))
+    io.write_tensor(args.out, out)
     print(f"applied {spec.kind}:{spec.param:g} to {args.input}: {args.out}")
     return 0
 
@@ -277,8 +273,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def _figure_fig1(args) -> tuple[list, list, list, str]:
-    if args.n < 1:
-        raise InputError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= analysis.MAX_GRID:
+        raise InputError(f"--n must be in 1..{analysis.MAX_GRID}, got {args.n}")
     eta = args.eta if args.eta is not None else 64.0
     rng = np.random.default_rng(args.seed)
     samples = rng.beta(2.0, 5.0, size=args.n)
@@ -335,10 +331,13 @@ def _figure_fig2(args) -> tuple[list, list, list, str]:
 
 
 def _figure_fig4b(args) -> tuple[list, list, list, str]:
-    if not (math.isfinite(args.theta_step) and 0.0 < args.theta_step <= math.pi / 2):
-        raise InputError(f"--theta-step must lie in (0, pi/2], got {args.theta_step}")
+    step = args.theta_step
+    if not (math.isfinite(step) and 0.0 < step <= math.pi / 2):
+        raise InputError(f"--theta-step must lie in (0, pi/2], got {step}")
+    if math.pi / 2 / step >= analysis.MAX_GRID - 0.5:  # then n below passes MAX_GRID
+        raise InputError(f"--theta-step {step} gives more than {analysis.MAX_GRID} points")
     eta = args.eta if args.eta is not None else 20.0
-    n = int(round(math.pi / 2 / args.theta_step)) + 1
+    n = int(round(math.pi / 2 / step)) + 1
     thetas = np.linspace(0.0, math.pi / 2, n)
     curve = analysis.detector_curve(thetas, eta, args.kappa)
     header = ["theta", "response"]
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("epn", help="spectrally normalize a pooled tensor")
-    p.add_argument("input", help="tensor file of order 2 or 3")
+    p.add_argument("input", help="tensor file of order 2, 3 or 4")
     p.add_argument("--spec", required=True, help="operator as kind:param, "
                    "e.g. gamma:0.5, maxexp:20, sigme:4, hdp:0.2, grassmann:2")
     p.add_argument("--normalize", action="store_true",
@@ -469,18 +468,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateSpectrumError as exc:
+    except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)  # an OSError is a bad file
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input checks.
 
-The CLI maps these onto its exit codes: InputError -> 2, DomainError -> 3,
-DegenerateSpectrumError -> 4.
+Each class carries its CLI exit code as exit_code: InputError 2, DomainError
+3, DegenerateSpectrumError 4. cli.main returns the code of the class raised.
 
 Every scalar parameter goes through one of two checks. _check_real takes a
 real value and an interval: a non-finite value is always refused with
@@ -19,15 +19,18 @@ import numpy as np
 
 class InputError(ValueError):
     """Malformed or inconsistent input (files, shapes, unsupported orders)."""
+    exit_code = 2
 
 
 class DomainError(ValueError):
     """Mathematically out-of-domain input (SPSD violations, bad parameters)."""
+    exit_code = 3
 
 
 class DegenerateSpectrumError(DomainError):
     """Eigenvalue collision too tight for derivative formulas to apply or for
     a rank-q eigenspace projector to be well defined."""
+    exit_code = 4
 
 
 def _check_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,

@@ -46,9 +46,6 @@ def _check_simple(values: np.ndarray, i: int | None = None) -> None:
     With i given only gaps involving that (0-based) index matter; otherwise
     every pair must be separated.
     """
-    d = values.shape[0]
-    if d < 2:
-        return
     scale = max(float(np.max(np.abs(values))), np.finfo(np.float64).tiny)
     diffs = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(diffs, np.inf)
@@ -140,8 +137,7 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
     loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
     scale = np.minimum(np.abs(1.0 - vals), vals[0]) if spec.kind == "maxexp" else np.abs(vals)
     near = np.abs(vals[:, None] - vals) <= EIG_GAP_REL * np.maximum(scale[:, None], scale)
-    j, k = np.divmod(np.flatnonzero(near), len(vals))  # twice np.nonzero's speed on 2-d masks
-    loewner[j, k] = _pn_deriv(0.5 * (vals[j] + vals[k]), spec)
+    loewner[near] = _pn_deriv(0.5 * (vals[:, None] + vals)[near], spec)
     w = 0.5 * (upstream + upstream.T)
     u = eig.vectors
     return u @ (loewner * (u.T @ w @ u)) @ u.T

@@ -66,6 +66,15 @@ def test_eta_of_t_approximation_quality():
         eta_of_t(0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=-6.0))
+def test_eta_of_t_finite_where_t_squared_underflows(log10_t):
+    t = 10.0 ** log10_t
+    got = eta_of_t(t)
+    assert math.isfinite(got)
+    assert got == pytest.approx(eta_of_t_exact(t), rel=1e-12)
+
+
 def test_eta_of_t_exact_inverts():
     for eta in (1.0, 2.0, 7.0, 64.0, 1000.0):
         assert abs(eta_of_t_exact(t_of_eta(eta)) - eta) < 1e-10 * eta

@@ -7,8 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hotpool import (
+    DegenerateSpectrumError,
     DenseTensor,
+    DomainError,
     FeatureSet,
+    InputError,
     PnSpec,
     apply_epn_core,
     bound_gaps,
@@ -17,6 +20,7 @@ from hotpool import (
     reconstruct,
     tpe_distance,
 )
+from hotpool import cli
 from hotpool.cli import main
 from hotpool.io import read_features_csv, read_tensor, write_features_csv, write_matrix_csv, write_tensor
 from hotpool.sketch import apply as sketch_apply
@@ -377,6 +381,9 @@ def test_report_and_figure_csv_cells(tmp_path, capsys):
     ["figure", "--which", "fig4b", "--theta-step", "nan"],
     ["figure", "--which", "fig4b", "--theta-step", "inf"],
     ["figure", "--which", "fig4b", "--theta-step", "2"],
+    ["verify", "--theorem", "3", "--lam-step", "1e-300"],
+    ["figure", "--which", "fig4b", "--theta-step", "1e-300"],
+    ["figure", "--which", "fig1", "--n", "100000000000000000000"],
 ], ids=" ".join)
 def test_empty_or_invalid_grids_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "fig.csv"
@@ -533,10 +540,50 @@ def test_missing_input_file_exits_2(tmp_path):
     assert "error:" in res.stderr
 
 
-def test_epn_order4_rejected(tmp_path):
+def test_epn_order4_matches_library(tmp_path, capsys):
     rng = np.random.default_rng(16)
     t = pool(FeatureSet(rng.normal(size=(6, 3))), 4)
-    src = tmp_path / "t.bin"
+    src, out, want = tmp_path / "t.bin", tmp_path / "y.bin", tmp_path / "want.bin"
     write_tensor(str(src), t)
-    res = run_cli("epn", src, "--spec", "gamma:0.5", "--out", tmp_path / "y.bin")
+    assert main(["epn", str(src), "--spec", "sigme:6", "--out", str(out)]) == 0
+    write_tensor(str(want), reconstruct(apply_epn_core(hosvd_supersym(t), PnSpec("sigme", 6))))
+    assert out.read_bytes() == want.read_bytes()
+    # the core normalization refuses a non-odd operator at order 4 as at order 3
+    assert main(["epn", str(src), "--spec", "gamma:0.5", "--out", str(out)]) == 3
+    write_tensor(str(src), DenseTensor(np.array([1.0, 2.0])))
+    assert main(["epn", str(src), "--spec", "sigme:6", "--out", str(out)]) == 2
+    assert "hosvd needs order >= 2" in capsys.readouterr().err
+
+
+class _Collision(DegenerateSpectrumError):
+    pass
+
+
+@pytest.mark.parametrize("error, code", [
+    (InputError, 2), (DomainError, 3), (DegenerateSpectrumError, 4), (_Collision, 4),
+    (FileNotFoundError, 2),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_each_error_class_reaches_its_exit_code(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_distance", fail)
+    assert main(["distance", "a.bin", "b.bin"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_error_classes_carry_their_exit_codes():
+    assert (InputError.exit_code, DomainError.exit_code, DegenerateSpectrumError.exit_code) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("step", ["1e-20", "1e-30"])
+def test_fine_lam_step_exits_2_without_hanging(step):
+    # with t(eta) / step far past 2**53, stepping the grid's first index one by
+    # one barely moves its float product: at 1e-30 that search never ended
+    res = subprocess.run(
+        [sys.executable, "-m", "hotpool", "verify", "--theorem", "2", "--eta-max", "3",
+         "--lam-step", step],
+        capture_output=True, text=True, timeout=60,
+    )
     assert res.returncode == 2
+    assert res.stderr.startswith(f"error: lambda step {step}")
