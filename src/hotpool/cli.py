@@ -272,7 +272,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if doc["pass"] else 1
 
 
-def _figure_fig1(args) -> tuple[list, list, list, str]:
+def _figure_fig1(args) -> tuple[list, np.ndarray, list, str]:
     if not 1 <= args.n <= analysis.MAX_GRID:
         raise InputError(f"--n must be in 1..{analysis.MAX_GRID}, got {args.n}")
     eta = args.eta if args.eta is not None else 64.0
@@ -287,10 +287,7 @@ def _figure_fig1(args) -> tuple[list, list, list, str]:
         samples, spectral.PnSpec("hdp", t), bins=args.bins
     )
     header = ["bin_low", "bin_high", "maxexp_mass", "hdp_mass"]
-    rows = [
-        [edges[i], edges[i + 1], maxexp_mass[i], hdp_mass[i]]
-        for i in range(len(maxexp_mass))
-    ]
+    rows = np.column_stack([edges[:-1], edges[1:], maxexp_mass, hdp_mass])
     centers = 0.5 * (edges[:-1] + edges[1:])
     series = [("maxexp", maxexp_mass), ("hdp", hdp_mass)]
     print(json.dumps({
@@ -330,7 +327,7 @@ def _figure_fig2(args) -> tuple[list, list, list, str]:
     return header, rows, [lam, series], "operator profiles"
 
 
-def _figure_fig4b(args) -> tuple[list, list, list, str]:
+def _figure_fig4b(args) -> tuple[list, np.ndarray, list, str]:
     step = args.theta_step
     if not (math.isfinite(step) and 0.0 < step <= math.pi / 2):
         raise InputError(f"--theta-step must lie in (0, pi/2], got {step}")
@@ -341,9 +338,8 @@ def _figure_fig4b(args) -> tuple[list, list, list, str]:
     thetas = np.linspace(0.0, math.pi / 2, n)
     curve = analysis.detector_curve(thetas, eta, args.kappa)
     header = ["theta", "response"]
-    rows = [[row[0], row[1]] for row in curve]
     series = [("response", curve[:, 1])]
-    return header, rows, [curve[:, 0], series], "detection response"
+    return header, curve, [curve[:, 0], series], "detection response"
 
 
 def cmd_figure(args) -> int:

@@ -74,6 +74,9 @@ def read_tensor(path) -> DenseTensor:
     return DenseTensor(data)
 
 
+_CSV_BLOCK = 4096  # rows of a float64 array converted to Python floats at a time
+
+
 def _cell(c) -> str:
     """One CSV cell: None is empty, str as is, bool true/false, int as
     digits, and anything else as the repr of its float."""
@@ -89,13 +92,18 @@ def _cell(c) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write an optional header row, then the rows, one line each."""
+    """Write an optional header row, then the rows, one line each. A float64
+    array is converted to lists a block of rows at a time, so its cells are
+    never all held as Python floats at once."""
     f8 = isinstance(rows, np.ndarray) and rows.dtype == np.float64  # repr is _cell for floats
-    cell, rows = (repr, rows.tolist()) if f8 else (_cell, rows)
+    cell = repr if f8 else _cell
+    blocks = [rows] if not f8 else (
+        rows[s : s + _CSV_BLOCK].tolist() for s in range(0, len(rows), _CSV_BLOCK))
     with open(path, "w", newline="") as f:
         if header:
             f.write(",".join(map(_cell, header)) + "\n")
-        f.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+        for block in blocks:
+            f.writelines(",".join(map(cell, row)) + "\n" for row in block)
 
 
 def _read_rows(path) -> list:

@@ -155,8 +155,9 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
         data = np.empty((d, d, d))
         for s in range(0, n, d * d):
             x, w3 = phi[s : s + d * d], w[s : s + d * d] ** 3
+            xt = np.ascontiguousarray(x.T)  # so no GEMM below takes a transposed operand
             for i in range(d):
-                part = (x[:, i:] * (x[:, i] * w3)[:, None]).T @ x
+                part = (xt[i:] * (xt[i] * w3)) @ x
                 data[i, i:] = part if s == 0 else data[i, i:] + part
         for i in range(d):
             data[i + 1 :, i] = data[i, i + 1 :]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hotpool import (
     reconstruct,
     tpe_distance,
 )
-from hotpool import cli
+from hotpool import cli, io
 from hotpool.cli import main
 from hotpool.io import read_features_csv, read_tensor, write_features_csv, write_matrix_csv, write_tensor
 from hotpool.sketch import apply as sketch_apply
@@ -430,6 +431,36 @@ def test_figure_fig4b_infinite_parameter_exits_3(tmp_path, flag, name):
     # the whole of stderr: no RuntimeWarning from computing with inf
     assert res.stderr == f"error: {name} must be finite, got inf\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "fig4b", "--theta-step", repr(np.pi / 2 / 99_999)],
+    ["--which", "fig1", "--n", "1000", "--bins", "10000"],
+])
+def test_figure_array_rows_write_the_list_path_bytes(tmp_path, capsys, argv):
+    """The figure rows go to write_csv as one float64 array; the file is the
+    one the former list of numpy-scalar rows gave, across several of
+    write_csv's row blocks."""
+    args = cli.build_parser().parse_args(["figure", *argv, "--out", str(tmp_path / "a.csv")])
+    header, rows, _, _ = {"fig1": cli._figure_fig1, "fig4b": cli._figure_fig4b}[args.which](args)
+    assert rows.dtype == np.float64 and rows.shape[0] > 2 * io._CSV_BLOCK
+    io.write_csv(tmp_path / "list.csv", header, [list(row) for row in rows])
+    assert main(["figure", *argv, "--out", str(tmp_path / "a.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_figure_fig4b_peak_memory_per_point(tmp_path, capsys):
+    """10^5 points stay under 64 bytes each (the list path held about 150)."""
+    argv = ["figure", "--which", "fig4b", "--theta-step", repr(np.pi / 2 / 99_999),
+            "--out", str(tmp_path / "a.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 100_001
+    assert peak < 64 * 100_000
 
 
 def test_figure_fig1_top_bin(tmp_path):

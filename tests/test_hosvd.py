@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from hotpool import (
     tpe_dot,
     tpe_dot_factored,
 )
+import hotpool
 from hotpool import hosvd
-from hotpool.hosvd import _all_modes, _sym_index
+from hotpool.hosvd import _all_modes, _sym_index, _sym_maps
 
 
 def _pooled(seed, d, n=None):
@@ -440,13 +443,13 @@ def test_factored_dot_refuses_unflagged_asymmetric_core():
 def test_sym_index_lists_sorted_tuples_and_multinomials():
     for d, r in itertools.product(range(1, 6), range(5)):
         tuples = list(itertools.combinations_with_replacement(range(d), r))
-        flat, root_mult = _sym_index(d, r)
+        flat, mult = _sym_index(d, r)
         assert flat.tolist() == [int(np.ravel_multi_index(t, (d,) * r)) for t in tuples]
         counts = [
             math.factorial(r) // math.prod(math.factorial(m) for m in Counter(t).values())
             for t in tuples
         ]
-        assert_allclose(root_mult**2, counts, rtol=1e-15)
+        assert mult.tolist() == counts
 
 
 def test_sym_index_peak_memory_below_one_ambient_tensor():
@@ -457,6 +460,66 @@ def test_sym_index_peak_memory_below_one_ambient_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 24**4 * 8
+
+
+@pytest.mark.parametrize("d, r", [(24, 4), (64, 3)])
+@pytest.mark.parametrize("spec", [PnSpec("maxexp", 20.0), PnSpec("sigme", 4.0)])
+def test_apply_epn_core_peak_memory_below_twice_the_output(d, r, spec):
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(2 * d, d))
+    x *= 0.5 / np.linalg.norm(x, axis=1, keepdims=True)
+    f = hosvd_supersym(pool(FeatureSet(x), r))
+    apply_epn_core(f, spec)  # builds the maps
+    tracemalloc.start()
+    try:
+        out = apply_epn_core(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.rank == d and peak <= 2 * out.core.nbytes
+
+
+def test_sym_maps_are_compact_read_only_and_bounded():
+    assert _sym_maps.cache_info().maxsize == 8
+    for d, r in [(32, 3), (64, 3), (24, 4), (3, 2), (80, 3)]:
+        flat, count, inverse = _sym_maps(d, r)
+        m = math.comb(d + r - 1, r)
+        assert flat.shape == count.shape == (m,) and inverse.shape == (d**r,)
+        assert not any(a.flags.writeable for a in (flat, count, inverse))
+        assert inverse.dtype == (np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.uint32)
+        assert flat.dtype == np.min_scalar_type(d**r - 1) and count.dtype == np.uint8
+        want_flat, want_count = _sym_index(d, r)
+        assert np.array_equal(flat, want_flat) and np.array_equal(count, want_count)
+        # every index tuple maps to its own sorted tuple
+        ordered = np.sort(np.unravel_index(np.arange(d**r), (d,) * r), axis=0)
+        assert np.array_equal(flat[inverse], np.ravel_multi_index(ordered, (d,) * r))
+    for d in range(1, 12):
+        _sym_maps(d, 2)
+    assert _sym_maps.cache_info().currsize == 8
+
+
+def test_packed_map_keeps_the_kappa_refusal():
+    f = hosvd_supersym(outer_power(np.eye(3)[0], 3))
+    assert f.supersymmetric and abs(f.core.item()) == 1.0
+    with pytest.raises(DomainError, match="exceeds kappa"):
+        apply_epn_core(f, PnSpec("maxexp", 4))
+    assert apply_epn_core(f, PnSpec("sigme", 4)).supersymmetric
+
+
+def test_flagged_records_have_cubic_cores():
+    for core in (np.zeros((2, 3, 3)), np.zeros(2), np.zeros(())):
+        with pytest.raises(InputError, match="super-symmetric core must be cubic"):
+            HosvdFactors(core, np.eye(3, 2), 1.0, supersymmetric=True)
+
+
+def test_sym_index_is_called_only_by_sym_maps():
+    callers = set()
+    for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sym_index"
+                   for node in ast.walk(top)):
+                callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("hosvd", "_sym_maps")}
 
 
 def test_subspace_expansion_with_distinct_factors():
@@ -535,6 +598,18 @@ def test_apply_epn_core_matches_reference_exactly(r, spec):
     assert np.array_equal(got, _ref_core(core, k, spec))
 
 
+def _assert_packed_map(f, spec):
+    """A flagged record's map: exact on its sorted-tuple entries, exactly
+    super-symmetric, and within rounding of the map of every entry."""
+    got = apply_epn_core(f, spec).core
+    want = _ref_core(f.core, f.kappa, spec)
+    flat = _sym_maps(f.core.shape[0], f.order)[0]
+    assert got.shape == want.shape
+    assert np.array_equal(got.ravel()[flat], want.ravel()[flat])
+    assert got.size == 0 or check_supersymmetric(DenseTensor(got), tol=0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
 def test_apply_epn_core_pooled_matches_reference_exactly():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(40, 4))
@@ -542,7 +617,26 @@ def test_apply_epn_core_pooled_matches_reference_exactly():
     for r in (2, 3, 4):
         f = hosvd_supersym(pool(FeatureSet(x), r))
         for spec in (PnSpec("maxexp", 6.0), PnSpec("sigme", 6.0)):
-            assert np.array_equal(apply_epn_core(f, spec).core, _ref_core(f.core, f.kappa, spec))
+            _assert_packed_map(f, spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.sampled_from([2, 3, 4]), d=st.integers(1, 6), n=st.integers(1, 8),
+       spec=st.sampled_from([PnSpec("maxexp", 1.0), PnSpec("maxexp", 7.5),
+                             PnSpec("sigme", 1.0), PnSpec("sigme", 40.0)]),
+       weights=st.sampled_from(["ones", "uniform", "zeros"]), centered=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_map_matches_the_dense_map(r, d, n, spec, weights, centered, seed):
+    """Pools of n < d rows give rank-truncated cores and zero weights rank-0
+    ones; rows are scaled so that every core entry is within kappa."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    mean = rng.normal(size=d) if centered else np.zeros(d)
+    scale = 0.45 / np.max(np.linalg.norm(x - mean, axis=1))
+    w = {"ones": np.ones(n), "uniform": rng.uniform(size=n), "zeros": np.zeros(n)}[weights]
+    f = hosvd_supersym(pool(FeatureSet(scale * x, w, scale * mean), r))
+    assert f.rank <= min(n, d) and (weights != "zeros" or f.rank == 0)
+    _assert_packed_map(f, spec)
 
 
 def test_detector_likelihood_matches_reference_exactly():
