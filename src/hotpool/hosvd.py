@@ -19,10 +19,10 @@ unit-norm inputs.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import mmap
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +81,13 @@ class HosvdFactors:
         a = _ambient(self) if dense is None else dense.data
         if not (self.supersymmetric or check_supersymmetric(DenseTensor(a))):
             raise DomainError("core is not super-symmetric; tpe_dot takes any reconstruction")
-        flat, count, _ = _sym_maps(self.factor.shape[0], self.order)
+        flat, count = _sym_packing(self.factor.shape[0], self.order)
         return np.sqrt(count, dtype=np.float64) * a.ravel()[flat]
 
 
 def _sym_index(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat (d,)*r positions of the tuples i_1 <= ... <= i_r and their counts r!/prod m_k!
-    (as floats), grown by each j >= the last index, in O(m). Called only by _sym_maps."""
+    (as floats), grown by each j >= the last index, in O(m). Called only by _sym_packing."""
     flat = last = run = np.zeros(1, dtype=np.intp)
     mult = np.ones(1)
     for k in range(1, r + 1):
@@ -105,34 +105,76 @@ def _index_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _mapped(n: int, dtype) -> np.ndarray:
-    """An empty n-array in its own anonymous mapping. A cached array there never sits
-    among the malloc heap's short-lived arrays, where it would keep the heap from reusing
-    or returning the memory around it."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(n * dtype.itemsize, 1)), dtype, n)
+def _kept(a: np.ndarray, dtype) -> np.ndarray:
+    """A copy of a in dtype over an immutable bytes buffer, so the writeable flag cannot be
+    set again on it or on any view of it: the cached maps are shared by every caller."""
+    return np.frombuffer(a.astype(dtype).tobytes(), dtype).reshape(a.shape)
 
 
-@functools.lru_cache(maxsize=8)
-def _sym_maps(d: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_sym_index's m positions and counts, and the inverse map: for each of the d^r flat
-    positions, the rank of its sorted tuple among the m. The inverse is filled by one
-    scatter per permutation of the tuples' r index columns. Read-only, each in its smallest
-    unsigned dtype (the inverse is uint16 while m <= 65,536, the counts r!/prod m_k! uint8)
-    and in its own mapping: building the maps of (d, r) = (32, 3), (64, 3), (24, 4) raised
-    a fresh process's RSS by 3.4 MiB, 1.5 MiB of it held, against 8.0 MiB with intp maps and
-    float roots on the heap."""
+# bytes of index maps kept across calls, over every shape: room for every d' <= 64 at r = 3
+# and every d' <= 24 at r = 4 at once (9.0 MiB), not for (64, 4) alone (15.1 MiB).
+# descriptor's three shapes (32, 3), (64, 3), (24, 4) hold 0.75 MiB; building them
+# raises a fresh process's RSS by 2.8 MiB
+_MAP_BYTES = 12 << 20
+_maps: OrderedDict = OrderedDict()
+_maps_lock = threading.Lock()
+
+
+def _cached_maps(build):
+    """Memoize build(d, r)'s tuple of read-only arrays in _maps, which every such builder
+    shares. The least recently used go first once _maps holds more than _MAP_BYTES; maps
+    bigger than that alone are not kept, so their shape is rebuilt on every call."""
+
+    @functools.wraps(build)
+    def cached(d: int, r: int) -> tuple[np.ndarray, ...]:
+        key = (build.__name__, d, r)
+        with _maps_lock:
+            if key in _maps:
+                _maps.move_to_end(key)
+                return _maps[key]
+        maps = build(d, r)
+        size = sum(a.nbytes for a in maps)
+        with _maps_lock:
+            if size <= _MAP_BYTES:
+                _maps[key] = maps
+            while sum(a.nbytes for kept in _maps.values() for a in kept) > _MAP_BYTES:
+                _maps.popitem(last=False)
+        return maps
+
+    return cached
+
+
+@_cached_maps
+def _sym_packing(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """_sym_index's m flat positions and counts r!/prod m_k!, each in its smallest unsigned
+    dtype (counts uint8): 5 bytes per sorted tuple at (64, 3) and (24, 4)."""
     flat, count = _sym_index(d, r)
-    m = flat.size
-    maps = (_mapped(m, _index_dtype(d**r)), _mapped(m, _index_dtype(math.factorial(r) + 1)),
-            _mapped(d**r, _index_dtype(m)))
-    maps[0][:], maps[1][:] = flat, count
-    rank = np.arange(m, dtype=maps[2].dtype)
-    for cols in itertools.permutations(np.unravel_index(flat, (d,) * r)):
-        maps[2][np.ravel_multi_index(cols, (d,) * r)] = rank
-    for a in maps:
-        a.flags.writeable = False
-    return maps
+    return _kept(flat, _index_dtype(d**r)), _kept(count, _index_dtype(math.factorial(r) + 1))
+
+
+@_cached_maps
+def _sym_tables(d: int, r: int) -> tuple[np.ndarray, ...]:
+    """Insertion tables T_2 .. T_r of the sorted tuples, numbered in _sym_index's order:
+    T_k[q, v] is the number of sorted(u + (v,)) among the sorted k-tuples, u the q-th sorted
+    (k-1)-tuple. Gathering m values through T_r, then T_(r-1), ..., T_2 lays them out as the
+    (d,)*r super-symmetric tensor, with m_(k-1) d entries in T_k, not d^r.
+
+    Level by level: (u, v) is already sorted when v >= u's last index, and then numbered
+    base[u] + v; otherwise it sorts to sorted(u[:-1] + (v,)), which T_(k-1) numbers, followed
+    by u's last index. Each table is in the smallest unsigned dtype for its m_k (uint16 while
+    m_k <= 65,536)."""
+    v = np.arange(d)
+    last, prefix, tables = v, np.zeros(d, np.intp), (v[None],)
+    for _ in range(2, r + 1):
+        reps = d - last
+        base = np.cumsum(reps) - reps - last
+        t = base[tables[-1][prefix]]
+        t += last[:, None]
+        np.add(base[:, None], v, out=t, where=v >= last[:, None])
+        tables += (_kept(t, _index_dtype(reps.sum())),)
+        prefix = np.repeat(np.arange(last.size), reps)
+        last = np.arange(reps.sum()) - np.repeat(base, reps)
+    return tables[1:]
 
 
 def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -246,33 +288,42 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
     coefficient signs, so other kinds are rejected.
 
     A record flagged super-symmetric is mapped packed: the check and the map
-    see only its m = binom(d'+r-1, r) sorted-tuple entries, and one gather
-    through _sym_maps' inverse expands them, so the output is exactly
-    super-symmetric. An unflagged record maps every entry in place.
+    see only its m = binom(d'+r-1, r) sorted-tuple entries, and gathers
+    through _sym_tables' r - 1 insertion tables expand them, so the output is
+    exactly super-symmetric. An unflagged record maps every entry in place.
     """
     if spec.kind not in ("maxexp", "sigme"):
         raise DomainError(
             f"core normalization needs an odd operator (maxexp or sigme), got {spec.kind}"
         )
-    g = _OPS[spec.kind].g
-    flat, _, inverse = _sym_maps(f.core.shape[0], f.order) if f.supersymmetric else (np.s_[:],) * 3
-    packed = f.core.ravel()[flat]
-    x = packed / f.kappa
-    if spec.kind == "maxexp":
-        excess = float(np.max(np.abs(packed))) - f.kappa if packed.size else 0.0
-        if excess > KAPPA_EXCESS_TOL:
-            raise DomainError(
-                f"core coefficient exceeds kappa by {excess:.3e}; kappa bounds only "
-                "all-distinct-index entries, and a repeated-index entry can exceed it "
-                "even for unit-norm inputs (use sigme)"
-            )
-        np.clip(x, -1.0, 1.0, out=x)
-        sign = np.sign(x)
-        out = sign * g(np.abs(x, out=x), spec.param)
+    if f.supersymmetric:
+        shape = f.core.shape[0], f.order
+        flat, tables = _sym_packing(*shape)[0], _sym_tables(*shape)
     else:
-        out = g(x, spec.param)
-    return HosvdFactors(_Fresh(out[inverse].reshape(f.core.shape)), f.factor, f.kappa,
-                        f.supersymmetric)
+        flat, tables = np.s_[:], ()
+    out = _odd_map(f.core.ravel()[flat], f.kappa, spec)
+    for t in reversed(tables):
+        out = out[t]
+    return HosvdFactors(_Fresh(out.reshape(f.core.shape)), f.factor, f.kappa, f.supersymmetric)
+
+
+def _odd_map(coef: np.ndarray, kappa: float, spec: PnSpec) -> np.ndarray:
+    """apply_epn_core's map of a coefficient vector, as a new array; its temporaries are
+    freed before the caller expands the result."""
+    g = _OPS[spec.kind].g
+    x = coef / kappa
+    if spec.kind == "sigme":
+        return g(x, spec.param)
+    excess = float(np.max(np.abs(coef))) - kappa if coef.size else 0.0
+    if excess > KAPPA_EXCESS_TOL:
+        raise DomainError(
+            f"core coefficient exceeds kappa by {excess:.3e}; kappa bounds only "
+            "all-distinct-index entries, and a repeated-index entry can exceed it "
+            "even for unit-norm inputs (use sigme)"
+        )
+    np.clip(x, -1.0, 1.0, out=x)
+    sign = np.sign(x)
+    return sign * g(np.abs(x, out=x), spec.param)
 
 
 def tpe_dot(gx: DenseTensor, gy: DenseTensor) -> float:

@@ -2,7 +2,7 @@ import ast
 import itertools
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from hotpool import (
 )
 import hotpool
 from hotpool import hosvd
-from hotpool.hosvd import _all_modes, _sym_index, _sym_maps
+from hotpool.hosvd import _all_modes, _sym_index, _sym_packing, _sym_tables
 
 
 def _pooled(seed, d, n=None):
@@ -479,23 +479,55 @@ def test_apply_epn_core_peak_memory_below_twice_the_output(d, r, spec):
     assert f.rank == d and peak <= 2 * out.core.nbytes
 
 
-def test_sym_maps_are_compact_read_only_and_bounded():
-    assert _sym_maps.cache_info().maxsize == 8
-    for d, r in [(32, 3), (64, 3), (24, 4), (3, 2), (80, 3)]:
-        flat, count, inverse = _sym_maps(d, r)
+def test_sym_maps_are_compact_read_only_and_complete():
+    for d, r in [(32, 3), (64, 3), (24, 4), (3, 2), (1, 4), (80, 3)]:
+        flat, count = _sym_packing(d, r)
+        tables = _sym_tables(d, r)
         m = math.comb(d + r - 1, r)
-        assert flat.shape == count.shape == (m,) and inverse.shape == (d**r,)
-        assert not any(a.flags.writeable for a in (flat, count, inverse))
-        assert inverse.dtype == (np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.uint32)
-        assert flat.dtype == np.min_scalar_type(d**r - 1) and count.dtype == np.uint8
         want_flat, want_count = _sym_index(d, r)
         assert np.array_equal(flat, want_flat) and np.array_equal(count, want_count)
-        # every index tuple maps to its own sorted tuple
+        assert flat.dtype == np.min_scalar_type(d**r - 1) and count.dtype == np.uint8
+        assert [t.shape for t in tables] == [(math.comb(d + k - 2, k - 1), d) for k in range(2, r + 1)]
+        assert tables[-1].dtype == (np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.uint32)
+        for a in (flat, count, *tables):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        # gathering the numbers 0 .. m-1 through the tables numbers every index tuple by its
+        # sorted tuple
+        number = np.arange(m)
+        for t in reversed(tables):
+            number = number[t]
         ordered = np.sort(np.unravel_index(np.arange(d**r), (d,) * r), axis=0)
-        assert np.array_equal(flat[inverse], np.ravel_multi_index(ordered, (d,) * r))
-    for d in range(1, 12):
-        _sym_maps(d, 2)
-    assert _sym_maps.cache_info().currsize == 8
+        assert np.array_equal(flat[number.ravel()], np.ravel_multi_index(ordered, (d,) * r))
+    assert [t.shape for t in _sym_tables(0, 3)] == [(0, 0), (0, 0)]  # a rank-0 core
+
+
+def test_sym_maps_are_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(hosvd, "_maps", OrderedDict())
+    monkeypatch.setattr(hosvd, "_MAP_BYTES", 240_000)
+    first = _sym_tables(24, 4)
+    assert sum(t.nbytes for t in first) == 140_352
+    assert sum(a.nbytes for a in _sym_packing(24, 4)) == 87_750
+    assert _sym_tables(24, 4) is first  # a hit, now the most recently used
+    _sym_packing(32, 3)  # 17,952 bytes more: the least recently used goes
+    assert list(hosvd._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
+    assert sum(t.nbytes for t in _sym_tables(64, 3)) > 240_000  # returned, not kept
+    assert list(hosvd._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
+
+
+def test_factored_dot_builds_no_tables(monkeypatch):
+    """A rank-truncated record's packed dot reads only the ambient packing; the tables
+    are built at the core's own shape, by apply_epn_core."""
+    monkeypatch.setattr(hosvd, "_maps", OrderedDict())
+    x = np.random.default_rng(5).normal(size=(5, 9))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    f = hosvd_supersym(pool(FeatureSet(x), 3))
+    assert f.rank == 5
+    tpe_dot_factored(f, f)
+    assert list(hosvd._maps) == [("_sym_packing", 9, 3)]
+    tpe_dot_factored(apply_epn_core(f, PnSpec("sigme", 4.0)), f)
+    assert set(hosvd._maps) == {("_sym_packing", 9, 3), ("_sym_packing", 5, 3),
+                                ("_sym_tables", 5, 3)}
 
 
 def test_packed_map_keeps_the_kappa_refusal():
@@ -512,14 +544,14 @@ def test_flagged_records_have_cubic_cores():
             HosvdFactors(core, np.eye(3, 2), 1.0, supersymmetric=True)
 
 
-def test_sym_index_is_called_only_by_sym_maps():
+def test_sym_index_is_called_only_by_sym_packing():
     callers = set()
     for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sym_index"
                    for node in ast.walk(top)):
                 callers.add((path.stem, getattr(top, "name", None)))
-    assert callers == {("hosvd", "_sym_maps")}
+    assert callers == {("hosvd", "_sym_packing")}
 
 
 def test_subspace_expansion_with_distinct_factors():
@@ -603,7 +635,7 @@ def _assert_packed_map(f, spec):
     super-symmetric, and within rounding of the map of every entry."""
     got = apply_epn_core(f, spec).core
     want = _ref_core(f.core, f.kappa, spec)
-    flat = _sym_maps(f.core.shape[0], f.order)[0]
+    flat = _sym_packing(f.core.shape[0], f.order)[0]
     assert got.shape == want.shape
     assert np.array_equal(got.ravel()[flat], want.ravel()[flat])
     assert got.size == 0 or check_supersymmetric(DenseTensor(got), tol=0)
