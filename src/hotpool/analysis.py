@@ -29,7 +29,6 @@ satisfies dpsi'/dt + e*log(lam_L)*psi' = 0 identically.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, InputError, _check_finite, _check_int, _check_real
+from .io import json_text
 from .spectral import _OPS, PnSpec, pn_scalar
 
 E = math.e
@@ -162,7 +162,7 @@ def report_json(report: BoundReport) -> str:
         "max_gap": report.max_gap,
         "touch_points": [[lam, gap] for lam, gap in report.touch_points],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json_text(doc)
 
 
 def _grid_open(lo: float, hi: float, step: float) -> np.ndarray:
@@ -440,14 +440,14 @@ def verify_gamma_ode(lam_ls=None, ts=None, coeff_scale: float = 1.0) -> dict:
 
 def ode_report_json(report: dict) -> str:
     doc = {k: v for k, v in report.items() if k != "rows"}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json_text(doc)
 
 
 def pushforward_spectrum(samples, spec: PnSpec, bins: int = 10):
     """Histogram of an operator applied samplewise to a spectrum in (0, 1].
 
     Returns (edges, masses) with bins equal divisions of [0, 1] and masses
-    summing to one.
+    summing to one; InputError beyond MAX_GRID bins.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
@@ -456,6 +456,8 @@ def pushforward_spectrum(samples, spec: PnSpec, bins: int = 10):
     if samples.min() <= 0.0 or samples.max() > 1.0 + 1e-12:
         raise DomainError("samples must lie in (0, 1]; rescale the spectrum first")
     bins = _check_int(bins, "bins", 1)
+    if bins > MAX_GRID:
+        raise InputError(f"bins must be at most {MAX_GRID}, got {bins}")
     values = pn_scalar(np.minimum(samples, 1.0), spec)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(values, bins=edges)

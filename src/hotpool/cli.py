@@ -9,7 +9,6 @@ output files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from . import analysis, gradients, hosvd, io, sketch, spectral, tensor
 from .errors import DomainError, InputError
-
-_JSON_KW = {"sort_keys": True, "indent": 2}
 
 
 def _parse_spec(text: str) -> spectral.PnSpec:
@@ -161,9 +158,9 @@ def cmd_verify(args) -> int:
     # gaps
     eps1, eps2 = analysis.bound_gaps(args.eta)
     doc = {"eta": args.eta, "eps1": eps1, "eps2": eps2}
-    print(json.dumps(doc, **_JSON_KW))
+    print(io.json_text(doc))
     if args.out:
-        _write_text(f"{args.out}.json", json.dumps(doc, **_JSON_KW))
+        _write_text(f"{args.out}.json", io.json_text(doc))
     return 0 if eps1 <= eps2 + 1e-15 else 1
 
 
@@ -268,7 +265,7 @@ def cmd_gradcheck(args) -> int:
            "threshold": threshold, "pass": rel_err < threshold}
     if spec is not None:
         doc["spec"] = f"{spec.kind}:{spec.param:g}"
-    print(json.dumps(doc, **_JSON_KW))
+    print(io.json_text(doc))
     return 0 if doc["pass"] else 1
 
 
@@ -290,19 +287,18 @@ def _figure_fig1(args) -> tuple[list, np.ndarray, list, str]:
     rows = np.column_stack([edges[:-1], edges[1:], maxexp_mass, hdp_mass])
     centers = 0.5 * (edges[:-1] + edges[1:])
     series = [("maxexp", maxexp_mass), ("hdp", hdp_mass)]
-    print(json.dumps({
+    print(io.json_text({
         "top_bin_maxexp": float(maxexp_mass[-1]),
         "top_bin_hdp": float(hdp_mass[-1]),
         "top_bin_difference": float(abs(maxexp_mass[-1] - hdp_mass[-1])),
         "t": t,
-    }, **_JSON_KW))
+    }))
     return header, rows, [centers, series], "spectrum pushforward"
 
 
-def _figure_fig2(args) -> tuple[list, list, list, str]:
+def _figure_fig2(args) -> tuple[list, np.ndarray, list, str]:
     eta = args.eta if args.eta is not None else 8.0
     lam = np.round(np.arange(-1000, 1001) * 1e-3, 12)
-    nonneg = lam >= 0.0
     specs = {
         "gamma": spectral.PnSpec("gamma", args.gamma),
         "maxexp": spectral.PnSpec("maxexp", eta),
@@ -310,21 +306,15 @@ def _figure_fig2(args) -> tuple[list, list, list, str]:
         "sigme": spectral.PnSpec("sigme", args.eta_prime),
         "hdp": spectral.PnSpec("hdp", args.hdp_t),
     }
-    cols = {}
-    for name, spec in specs.items():
-        domain = nonneg if name in spectral.SPSD_KINDS else slice(None)
-        cols[name] = np.full(lam.shape, np.nan)
-        cols[name][domain] = spectral.pn_scalar(lam[domain], spec)
-    header = ["lambda"] + list(specs)
-    rows = []
-    for k, x in enumerate(lam):
-        row = [x]
-        for name in specs:
-            v = cols[name][k]
-            row.append(None if math.isnan(v) else v)
-        rows.append(row)
-    series = [(name, cols[name]) for name in specs]
-    return header, rows, [lam, series], "operator profiles"
+    values = np.full((lam.size, 1 + len(specs)), np.nan)
+    values[:, 0] = lam
+    for k, (name, spec) in enumerate(specs.items(), 1):
+        domain = lam >= 0.0 if name in spectral.SPSD_KINDS else slice(None)
+        values[domain, k] = spectral.pn_scalar(lam[domain], spec)
+    rows = values.astype(object)
+    rows[np.isnan(values)] = None  # an empty cell outside an operator's domain
+    series = [(name, values[:, k]) for k, name in enumerate(specs, 1)]
+    return ["lambda", *specs], rows, [lam, series], "operator profiles"
 
 
 def _figure_fig4b(args) -> tuple[list, np.ndarray, list, str]:

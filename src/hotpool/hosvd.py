@@ -5,6 +5,7 @@ with a single orthonormal factor U (d x d') and core G (d' x ... x d').
 U comes from the eigenvectors of the mode-1 Gram matrix M1 M1^T, truncated
 at the rank cutoff d * eps * lambda_max. Record arrays cannot be made writable again
 (writing via .base is unsupported), so a record's reconstruction and packed memos stay valid.
+Packed cores and dots read tensor's sorted-index layout (_sym_packing, _sym_tables).
 
 For a pooled tensor of unit-norm vectors with weights <= 1 and no
 centering, a core entry whose index values occur with multiplicities
@@ -20,16 +21,15 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError, _check_int, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
-from .tensor import MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, check_supersymmetric, inner
+from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _sym_packing, _sym_tables,
+                     check_supersymmetric, inner)
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -83,98 +83,6 @@ class HosvdFactors:
             raise DomainError("core is not super-symmetric; tpe_dot takes any reconstruction")
         flat, count = _sym_packing(self.factor.shape[0], self.order)
         return np.sqrt(count, dtype=np.float64) * a.ravel()[flat]
-
-
-def _sym_index(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (d,)*r positions of the tuples i_1 <= ... <= i_r and their counts r!/prod m_k!
-    (as floats), grown by each j >= the last index, in O(m). Called only by _sym_packing."""
-    flat = last = run = np.zeros(1, dtype=np.intp)
-    mult = np.ones(1)
-    for k in range(1, r + 1):
-        reps = d - last
-        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        last = np.repeat(last, reps) + offset
-        flat = np.repeat(flat, reps) * d + last
-        run = np.where(offset == 0, np.repeat(run, reps) + 1, 1)
-        mult = np.repeat(mult, reps) * k / run
-    return flat, mult
-
-
-def _index_dtype(n: int) -> np.dtype:
-    """Smallest unsigned dtype that holds 0 .. n - 1."""
-    return np.min_scalar_type(max(n - 1, 0))
-
-
-def _kept(a: np.ndarray, dtype) -> np.ndarray:
-    """A copy of a in dtype over an immutable bytes buffer, so the writeable flag cannot be
-    set again on it or on any view of it: the cached maps are shared by every caller."""
-    return np.frombuffer(a.astype(dtype).tobytes(), dtype).reshape(a.shape)
-
-
-# bytes of index maps kept across calls, over every shape: room for every d' <= 64 at r = 3
-# and every d' <= 24 at r = 4 at once (9.0 MiB), not for (64, 4) alone (15.1 MiB).
-# descriptor's three shapes (32, 3), (64, 3), (24, 4) hold 0.75 MiB; building them
-# raises a fresh process's RSS by 2.8 MiB
-_MAP_BYTES = 12 << 20
-_maps: OrderedDict = OrderedDict()
-_maps_lock = threading.Lock()
-
-
-def _cached_maps(build):
-    """Memoize build(d, r)'s tuple of read-only arrays in _maps, which every such builder
-    shares. The least recently used go first once _maps holds more than _MAP_BYTES; maps
-    bigger than that alone are not kept, so their shape is rebuilt on every call."""
-
-    @functools.wraps(build)
-    def cached(d: int, r: int) -> tuple[np.ndarray, ...]:
-        key = (build.__name__, d, r)
-        with _maps_lock:
-            if key in _maps:
-                _maps.move_to_end(key)
-                return _maps[key]
-        maps = build(d, r)
-        size = sum(a.nbytes for a in maps)
-        with _maps_lock:
-            if size <= _MAP_BYTES:
-                _maps[key] = maps
-            while sum(a.nbytes for kept in _maps.values() for a in kept) > _MAP_BYTES:
-                _maps.popitem(last=False)
-        return maps
-
-    return cached
-
-
-@_cached_maps
-def _sym_packing(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """_sym_index's m flat positions and counts r!/prod m_k!, each in its smallest unsigned
-    dtype (counts uint8): 5 bytes per sorted tuple at (64, 3) and (24, 4)."""
-    flat, count = _sym_index(d, r)
-    return _kept(flat, _index_dtype(d**r)), _kept(count, _index_dtype(math.factorial(r) + 1))
-
-
-@_cached_maps
-def _sym_tables(d: int, r: int) -> tuple[np.ndarray, ...]:
-    """Insertion tables T_2 .. T_r of the sorted tuples, numbered in _sym_index's order:
-    T_k[q, v] is the number of sorted(u + (v,)) among the sorted k-tuples, u the q-th sorted
-    (k-1)-tuple. Gathering m values through T_r, then T_(r-1), ..., T_2 lays them out as the
-    (d,)*r super-symmetric tensor, with m_(k-1) d entries in T_k, not d^r.
-
-    Level by level: (u, v) is already sorted when v >= u's last index, and then numbered
-    base[u] + v; otherwise it sorts to sorted(u[:-1] + (v,)), which T_(k-1) numbers, followed
-    by u's last index. Each table is in the smallest unsigned dtype for its m_k (uint16 while
-    m_k <= 65,536)."""
-    v = np.arange(d)
-    last, prefix, tables = v, np.zeros(d, np.intp), (v[None],)
-    for _ in range(2, r + 1):
-        reps = d - last
-        base = np.cumsum(reps) - reps - last
-        t = base[tables[-1][prefix]]
-        t += last[:, None]
-        np.add(base[:, None], v, out=t, where=v >= last[:, None])
-        tables += (_kept(t, _index_dtype(reps.sum())),)
-        prefix = np.repeat(np.arange(last.size), reps)
-        last = np.arange(reps.sum()) - np.repeat(base, reps)
-    return tables[1:]
 
 
 def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -289,7 +197,7 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
 
     A record flagged super-symmetric is mapped packed: the check and the map
     see only its m = binom(d'+r-1, r) sorted-tuple entries, and gathers
-    through _sym_tables' r - 1 insertion tables expand them, so the output is
+    through tensor._sym_tables' r - 1 insertion tables expand them, so the output is
     exactly super-symmetric. An unflagged record maps every entry in place.
     """
     if spec.kind not in ("maxexp", "sigme"):

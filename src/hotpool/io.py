@@ -1,4 +1,4 @@
-"""File formats: the HOTP1 tensor container and the one CSV dialect.
+"""File formats: the HOTP1 tensor container and the one CSV and JSON dialect.
 
 HOTP1 layout, all little-endian:
 
@@ -15,6 +15,8 @@ cell for a missing value. Readers skip blank lines and accept what float()
 does (surrounding whitespace, `1_000`, `inf`, `nan`). Valid unquoted files take
 numpy's C reader; the row parser names the line and column of the first bad cell.
 
+Every JSON document the package prints or writes is json_text's: sorted keys, indent 2.
+
 Feature CSV holds one vector per row. A header row is optional and is
 recognized by a non-numeric cell; when its last column is named `weight`,
 in any letter case, that column supplies per-row weights. Matrix CSV is
@@ -24,6 +26,7 @@ plain numeric rows with no header.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 import struct
@@ -106,6 +109,11 @@ def write_csv(path, header, rows) -> None:
             f.writelines(",".join(map(cell, row)) + "\n" for row in block)
 
 
+def json_text(doc) -> str:
+    """doc as JSON text in the package's one dialect (see the module docstring)."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 def _read_rows(path) -> list:
     """The non-empty rows of a CSV file, each with its 1-based line number."""
     with open(path, newline="") as f:
@@ -164,7 +172,7 @@ def _read_numeric(path, header: bool) -> tuple[np.ndarray, list | None]:
             data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None,
                               skiprows=rows[0][0] - 1 + has_header, dtype=np.float64)
     if data is None or data.shape[1] != len(first):
-        data = _parse_rows(path, _read_rows(path)[has_header:], len(first))
+        data = _parse_rows(path, (_read_rows(path) if fast else rows)[has_header:], len(first))
     return data, first if has_header else None
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, _check_int
+from .io import json_text
 from .tensor import _owned
 
 RNG_NAME = "philox4x64"
@@ -103,7 +104,7 @@ def plan_json(plan: SketchPlan) -> str:
         "seed": plan.seed,
         "rng_name": RNG_NAME,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json_text(doc)
 
 
 def plan_from_json(text: str) -> SketchPlan:

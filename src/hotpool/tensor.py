@@ -5,12 +5,16 @@ Order-r pooling of N feature vectors phi_n with weights w_n and mean mu:
     T = (1/N) * sum_n w_n^r * (phi_n - mu) x ... x (phi_n - mu)   (r factors)
 
 The result is super-symmetric: invariant under any permutation of its indices.
-Orders above 4 are out of scope.
+Orders above 4 are out of scope. The packed layout, one entry per sorted index tuple
+i_1 <= ... <= i_r in lexicographic order, is this module's (_sym_packing, _sym_tables).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,14 +139,100 @@ def outer_power(x, r: int) -> DenseTensor:
     return DenseTensor(_Fresh(data), supersymmetric=True)
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """Smallest unsigned dtype that holds 0 .. n - 1."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _kept(a: np.ndarray, dtype) -> np.ndarray:
+    """A copy of a in dtype over an immutable bytes buffer, so the writeable flag cannot be
+    set again on it or on any view of it: the cached maps are shared by every caller."""
+    return np.frombuffer(a.astype(dtype).tobytes(), dtype).reshape(a.shape)
+
+
+# bytes of index maps kept across calls, over every shape: room for every d' <= 64 at r = 3
+# and every d' <= 24 at r = 4 at once (9.0 MiB), not for (64, 4) alone (15.1 MiB).
+# descriptor's shapes (32, 3), (64, 3), (24, 4), and (24, 2) for its order-4 pools, hold
+# 0.75 MiB; building them raises a fresh process's RSS by 2.8 MiB
+_MAP_BYTES = 12 << 20
+_maps: OrderedDict = OrderedDict()
+_maps_lock = threading.Lock()
+
+
+def _cached_maps(build):
+    """Memoize build(d, r)'s tuple of read-only arrays in _maps, which every such builder
+    shares. The least recently used go first once _maps holds more than _MAP_BYTES; maps
+    bigger than that alone are not kept, so their shape is rebuilt on every call."""
+
+    @functools.wraps(build)
+    def cached(d: int, r: int) -> tuple[np.ndarray, ...]:
+        key = (build.__name__, d, r)
+        with _maps_lock:
+            if key in _maps:
+                _maps.move_to_end(key)
+                return _maps[key]
+        maps = build(d, r)
+        size = sum(a.nbytes for a in maps)
+        with _maps_lock:
+            if size <= _MAP_BYTES:
+                _maps[key] = maps
+            while sum(a.nbytes for kept in _maps.values() for a in kept) > _MAP_BYTES:
+                _maps.popitem(last=False)
+        return maps
+
+    return cached
+
+
+@_cached_maps
+def _sym_packing(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (d,)*r positions of the m sorted tuples i_1 <= ... <= i_r, in order, and their
+    counts r!/prod m_k!, grown by each j >= the last index in O(m). Each is kept in its
+    smallest unsigned dtype (counts uint8): 5 bytes per sorted tuple at (64, 3) and (24, 4)."""
+    flat = last = run = np.zeros(1, dtype=np.intp)
+    count = np.ones(1, dtype=np.intp)
+    for k in range(1, r + 1):
+        reps = d - last
+        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        last = np.repeat(last, reps) + offset
+        flat = np.repeat(flat, reps) * d + last
+        run = np.where(offset == 0, np.repeat(run, reps) + 1, 1)
+        count = np.repeat(count, reps) * k // run  # exact: the quotient is a multinomial
+    return _kept(flat, _index_dtype(d**r)), _kept(count, _index_dtype(math.factorial(r) + 1))
+
+
+@_cached_maps
+def _sym_tables(d: int, r: int) -> tuple[np.ndarray, ...]:
+    """Insertion tables T_2 .. T_r of the sorted tuples, numbered in _sym_packing's order:
+    T_k[q, v] is the number of sorted(u + (v,)) among the sorted k-tuples, u the q-th sorted
+    (k-1)-tuple. Gathering m values through T_r, then T_(r-1), ..., T_2 lays them out as the
+    (d,)*r super-symmetric tensor, with m_(k-1) d entries in T_k, not d^r.
+
+    Level by level: (u, v) is already sorted when v >= u's last index, and then numbered
+    base[u] + v; otherwise it sorts to sorted(u[:-1] + (v,)), which T_(k-1) numbers, followed
+    by u's last index. Each table is in the smallest unsigned dtype for its m_k (uint16 while
+    m_k <= 65,536)."""
+    v = np.arange(d)
+    last, prefix, tables = v, np.zeros(d, np.intp), (v[None],)
+    for _ in range(2, r + 1):
+        reps = d - last
+        base = np.cumsum(reps) - reps - last
+        t = base[tables[-1][prefix]]
+        t += last[:, None]
+        np.add(base[:, None], v, out=t, where=v >= last[:, None])
+        tables += (_kept(t, _index_dtype(reps.sum())),)
+        prefix = np.repeat(np.arange(last.size), reps)
+        last = np.arange(reps.sum()) - np.repeat(base, reps)
+    return tables[1:]
+
+
 def pool(features: FeatureSet, r: int) -> DenseTensor:
     """Order-r weighted pooling of a feature set (see module docstring).
 
     Only index pairs i <= j are computed, and T equals T.swapaxes(0, 1)
     exactly: r=2 is q^T q with q = w*phi; r=3 fills T[i, i:, :] with
-    (w^3 phi_i phi_{i:})^T phi and mirrors it to T[i:, i, :]; r=4 gathers
-    the Gram of the packed pair products w^2 phi_i phi_j. For r >= 3 rows
-    are summed in blocks of d^2, so no temporary outsizes the result.
+    (w^3 phi_i phi_{i:})^T phi and mirrors it to T[i:, i, :]; r=4 gathers the Gram of
+    the packed pair products w^2 phi_i phi_j through the pair table _sym_tables(d, 2)[0].
+    For r >= 3 rows are summed in blocks of d^2, so no temporary outsizes the result.
     """
     _check_int(r, "order", 2, MAX_ORDER)
     phi = features.vectors - features.mean
@@ -162,13 +252,13 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
         for i in range(d):
             data[i + 1 :, i] = data[i, i + 1 :]
     else:
-        iu = np.triu_indices(d)
-        pair = np.empty((d, d), dtype=np.intp)  # position of (i, j) or (j, i) in iu
-        pair[iu] = pair.T[iu] = np.arange(iu[0].size)
+        i, j = divmod(_sym_packing(d, 2)[0], d)
+        pair = _sym_tables(d, 2)[0]
         for s in range(0, n, d * d):
             x, w2 = phi[s : s + d * d], w[s : s + d * d] ** 2
-            p = (x[:, iu[0]] * w2[:, None]) * x[:, iu[1]]
-            gram = p.T @ p if s == 0 else gram + p.T @ p
+            xt = np.ascontiguousarray(x.T)
+            p = (xt[i] * w2) * xt[j]
+            gram = p @ p.T if s == 0 else gram + p @ p.T
         data = gram[pair][:, :, pair]
     data /= n
     return DenseTensor(_Fresh(data), supersymmetric=True)

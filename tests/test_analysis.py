@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -31,7 +32,7 @@ from hotpool import (
     verify_maxexp_ode,
     y_of_eta,
 )
-from hotpool.analysis import TOUCH_TOL, E, _grid_open, _local_minima, report_json
+from hotpool.analysis import MAX_GRID, TOUCH_TOL, E, _grid_open, _local_minima, report_json
 
 # reference constants below were evaluated with mpmath at 50 digits
 
@@ -316,6 +317,18 @@ def test_pushforward_validation():
         pushforward_spectrum(np.array([]), PnSpec("maxexp", 4))
     with pytest.raises(DomainError):
         pushforward_spectrum(np.array([0.5, 1.2]), PnSpec("maxexp", 4))
+
+
+def test_pushforward_bins_are_capped_before_the_edges_exist():
+    """One bin beyond MAX_GRID is refused before its 10^7 edges (80 MB) are made."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"^bins must be at most {MAX_GRID}, got {MAX_GRID + 1}$"):
+            pushforward_spectrum(np.full(100, 0.5), PnSpec("maxexp", 8), bins=MAX_GRID + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_pushforward_beta_spectrum_whitens():

@@ -397,6 +397,21 @@ def test_empty_or_invalid_grids_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_figure_fig1_bins_beyond_the_grid_cap_exit_2(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    tracemalloc.start()
+    try:
+        code = main(["figure", "--which", "fig1", "--bins", "10000001", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bins must be at most 10000000, got 10000001\n"
+    assert not out.exists()
+    assert peak < 8 * 10**6  # the 10^5 default samples; the refused edges alone are 80 MB
+
+
 @pytest.mark.parametrize("theorem", ["4", "5"])
 def test_verify_ode_non_finite_scale_exits_3(capsys, theorem):
     assert main(["verify", "--theorem", theorem, "--t-scale", "nan"]) == 3
@@ -436,15 +451,25 @@ def test_figure_fig4b_infinite_parameter_exits_3(tmp_path, flag, name):
 @pytest.mark.parametrize("argv", [
     ["--which", "fig4b", "--theta-step", repr(np.pi / 2 / 99_999)],
     ["--which", "fig1", "--n", "1000", "--bins", "10000"],
+    ["--which", "fig2"],
 ])
 def test_figure_array_rows_write_the_list_path_bytes(tmp_path, capsys, argv):
-    """The figure rows go to write_csv as one float64 array; the file is the
-    one the former list of numpy-scalar rows gave, across several of
-    write_csv's row blocks."""
+    """The figure rows go to write_csv as one array; the file is the one the
+    former list of numpy-scalar rows gave: for fig1 and fig4b a float64
+    array, across several of write_csv's row blocks, and for fig2 an object
+    array whose NaN cells (outside an operator's domain) are None."""
     args = cli.build_parser().parse_args(["figure", *argv, "--out", str(tmp_path / "a.csv")])
-    header, rows, _, _ = {"fig1": cli._figure_fig1, "fig4b": cli._figure_fig4b}[args.which](args)
-    assert rows.dtype == np.float64 and rows.shape[0] > 2 * io._CSV_BLOCK
-    io.write_csv(tmp_path / "list.csv", header, [list(row) for row in rows])
+    builders = {"fig1": cli._figure_fig1, "fig2": cli._figure_fig2, "fig4b": cli._figure_fig4b}
+    header, rows, (xs, series), _ = builders[args.which](args)
+    if args.which == "fig2":
+        assert rows.dtype == object and rows.shape == (2001, 6)
+        want = [[x] + [None if np.isnan(ys[k]) else ys[k] for _, ys in series]
+                for k, x in enumerate(xs)]
+        assert sum(row.count(None) for row in want) == 3000  # gamma, maxexp, hdp below 0
+    else:
+        assert rows.dtype == np.float64 and rows.shape[0] > 2 * io._CSV_BLOCK
+        want = [list(row) for row in rows]
+    io.write_csv(tmp_path / "list.csv", header, want)
     assert main(["figure", *argv, "--out", str(tmp_path / "a.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 

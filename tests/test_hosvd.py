@@ -35,8 +35,9 @@ from hotpool import (
     tpe_dot_factored,
 )
 import hotpool
-from hotpool import hosvd
-from hotpool.hosvd import _all_modes, _sym_index, _sym_packing, _sym_tables
+from hotpool import hosvd, tensor
+from hotpool.hosvd import _all_modes
+from hotpool.tensor import _sym_packing, _sym_tables
 
 
 def _pooled(seed, d, n=None):
@@ -440,22 +441,25 @@ def test_factored_dot_refuses_unflagged_asymmetric_core():
             tpe_dot_factored(a, b)
 
 
+def _sorted_tuples(d, r):
+    """Flat positions and counts r!/prod m_k! of the sorted index tuples, from itertools."""
+    tuples = list(itertools.combinations_with_replacement(range(d), r))
+    flat = [int(np.ravel_multi_index(t, (d,) * r)) for t in tuples]
+    counts = [math.factorial(r) // math.prod(math.factorial(m) for m in Counter(t).values())
+              for t in tuples]
+    return flat, counts
+
+
 def test_sym_index_lists_sorted_tuples_and_multinomials():
     for d, r in itertools.product(range(1, 6), range(5)):
-        tuples = list(itertools.combinations_with_replacement(range(d), r))
-        flat, mult = _sym_index(d, r)
-        assert flat.tolist() == [int(np.ravel_multi_index(t, (d,) * r)) for t in tuples]
-        counts = [
-            math.factorial(r) // math.prod(math.factorial(m) for m in Counter(t).values())
-            for t in tuples
-        ]
-        assert mult.tolist() == counts
+        flat, count = _sym_packing.__wrapped__(d, r)  # the builder, past the store
+        assert (flat.tolist(), count.tolist()) == _sorted_tuples(d, r)
 
 
 def test_sym_index_peak_memory_below_one_ambient_tensor():
     tracemalloc.start()
     try:
-        _sym_index(24, 4)
+        _sym_packing.__wrapped__(24, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,8 +488,7 @@ def test_sym_maps_are_compact_read_only_and_complete():
         flat, count = _sym_packing(d, r)
         tables = _sym_tables(d, r)
         m = math.comb(d + r - 1, r)
-        want_flat, want_count = _sym_index(d, r)
-        assert np.array_equal(flat, want_flat) and np.array_equal(count, want_count)
+        assert (flat.tolist(), count.tolist()) == _sorted_tuples(d, r)
         assert flat.dtype == np.min_scalar_type(d**r - 1) and count.dtype == np.uint8
         assert [t.shape for t in tables] == [(math.comb(d + k - 2, k - 1), d) for k in range(2, r + 1)]
         assert tables[-1].dtype == (np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.uint32)
@@ -503,30 +506,30 @@ def test_sym_maps_are_compact_read_only_and_complete():
 
 
 def test_sym_maps_are_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr(hosvd, "_maps", OrderedDict())
-    monkeypatch.setattr(hosvd, "_MAP_BYTES", 240_000)
+    monkeypatch.setattr(tensor, "_maps", OrderedDict())
+    monkeypatch.setattr(tensor, "_MAP_BYTES", 240_000)
     first = _sym_tables(24, 4)
     assert sum(t.nbytes for t in first) == 140_352
     assert sum(a.nbytes for a in _sym_packing(24, 4)) == 87_750
     assert _sym_tables(24, 4) is first  # a hit, now the most recently used
     _sym_packing(32, 3)  # 17,952 bytes more: the least recently used goes
-    assert list(hosvd._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
+    assert list(tensor._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
     assert sum(t.nbytes for t in _sym_tables(64, 3)) > 240_000  # returned, not kept
-    assert list(hosvd._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
+    assert list(tensor._maps) == [("_sym_tables", 24, 4), ("_sym_packing", 32, 3)]
 
 
 def test_factored_dot_builds_no_tables(monkeypatch):
     """A rank-truncated record's packed dot reads only the ambient packing; the tables
     are built at the core's own shape, by apply_epn_core."""
-    monkeypatch.setattr(hosvd, "_maps", OrderedDict())
+    monkeypatch.setattr(tensor, "_maps", OrderedDict())
     x = np.random.default_rng(5).normal(size=(5, 9))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     f = hosvd_supersym(pool(FeatureSet(x), 3))
     assert f.rank == 5
     tpe_dot_factored(f, f)
-    assert list(hosvd._maps) == [("_sym_packing", 9, 3)]
+    assert list(tensor._maps) == [("_sym_packing", 9, 3)]
     tpe_dot_factored(apply_epn_core(f, PnSpec("sigme", 4.0)), f)
-    assert set(hosvd._maps) == {("_sym_packing", 9, 3), ("_sym_packing", 5, 3),
+    assert set(tensor._maps) == {("_sym_packing", 9, 3), ("_sym_packing", 5, 3),
                                 ("_sym_tables", 5, 3)}
 
 
@@ -544,14 +547,20 @@ def test_flagged_records_have_cubic_cores():
             HosvdFactors(core, np.eye(3, 2), 1.0, supersymmetric=True)
 
 
-def test_sym_index_is_called_only_by_sym_packing():
-    callers = set()
+def test_sorted_index_layout_is_defined_in_tensor_alone():
+    """The sorted tuples are numbered in one place: the maps are defined in tensor only,
+    _sym_index is gone, and no other module builds a pair numbering of its own."""
+    defined, triu = set(), set()
     for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sym_index"
-                   for node in ast.walk(top)):
-                callers.add((path.stem, getattr(top, "name", None)))
-    assert callers == {("hosvd", "_sym_packing")}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_sym_index", "_sym_packing", "_sym_tables"):
+                defined.add((path.stem, node.name))
+            if isinstance(node, ast.Call) and "triu_indices" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                triu.add(path.stem)
+    assert defined == {("tensor", "_sym_packing"), ("tensor", "_sym_tables")}
+    assert triu <= {"tensor"}
 
 
 def test_subspace_expansion_with_distinct_factors():

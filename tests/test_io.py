@@ -333,6 +333,17 @@ def test_valid_files_never_take_the_row_parser(tmp_path, monkeypatch):
     assert read_matrix_csv(tmp_path / "b.csv").tolist() == [[1.5, -np.inf], [2.0, 3.0]]
 
 
+def test_quoted_files_are_read_by_the_csv_module_once(tmp_path, monkeypatch):
+    calls = []
+    read_rows = io._read_rows
+    monkeypatch.setattr(io, "_read_rows", lambda path: calls.append(path) or read_rows(path))
+    p = tmp_path / "q.csv"
+    p.write_text('f0,"f1",weight\n1,"2",0.5\n3,4e0,2\n')
+    back = read_features_csv(p)
+    assert back.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]] and back.weights.tolist() == [0.5, 2.0]
+    assert calls == [p]
+
+
 def test_array_writers_match_the_cell_formatter(tmp_path):
     m = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308],
                   [1.0, -3.0, 1e16, 0.1, 1 / 3]])
