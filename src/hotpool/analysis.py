@@ -443,6 +443,14 @@ def ode_report_json(report: dict) -> str:
     return json_text(doc)
 
 
+def _check_bins(bins) -> int:
+    """A histogram bin count, 1 .. MAX_GRID (InputError otherwise)."""
+    bins = _check_int(bins, "bins", 1)
+    if bins > MAX_GRID:
+        raise InputError(f"bins must be at most {MAX_GRID}, got {bins}")
+    return bins
+
+
 def pushforward_spectrum(samples, spec: PnSpec, bins: int = 10):
     """Histogram of an operator applied samplewise to a spectrum in (0, 1].
 
@@ -455,9 +463,7 @@ def pushforward_spectrum(samples, spec: PnSpec, bins: int = 10):
     _check_finite(samples, "samples", DomainError)
     if samples.min() <= 0.0 or samples.max() > 1.0 + 1e-12:
         raise DomainError("samples must lie in (0, 1]; rescale the spectrum first")
-    bins = _check_int(bins, "bins", 1)
-    if bins > MAX_GRID:
-        raise InputError(f"bins must be at most {MAX_GRID}, got {bins}")
+    bins = _check_bins(bins)
     values = pn_scalar(np.minimum(samples, 1.0), spec)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(values, bins=edges)

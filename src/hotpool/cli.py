@@ -272,6 +272,7 @@ def cmd_gradcheck(args) -> int:
 def _figure_fig1(args) -> tuple[list, np.ndarray, list, str]:
     if not 1 <= args.n <= analysis.MAX_GRID:
         raise InputError(f"--n must be in 1..{analysis.MAX_GRID}, got {args.n}")
+    analysis._check_bins(args.bins)  # before the draw, which a refused bin count would waste
     eta = args.eta if args.eta is not None else 64.0
     rng = np.random.default_rng(args.seed)
     samples = rng.beta(2.0, 5.0, size=args.n)

@@ -3,9 +3,10 @@
 A super-symmetric order-r tensor T factors as T = G x_1 U x_2 U ... x_r U
 with a single orthonormal factor U (d x d') and core G (d' x ... x d').
 U comes from the eigenvectors of the mode-1 Gram matrix M1 M1^T, truncated
-at the rank cutoff d * eps * lambda_max. Record arrays cannot be made writable again
-(writing via .base is unsupported), so a record's reconstruction and packed memos stay valid.
-Packed cores and dots read tensor's sorted-index layout (_sym_packing, _sym_tables).
+at the rank cutoff d * eps * lambda_max. A record holds its core packed, one entry per
+sorted index tuple of tensor's layout, and tensor._sym_expand lays it out densely for core
+and reconstruct. Record arrays cannot be made writable again (writing via .base is
+unsupported), so a record's reconstruction and packed-vector memos stay valid.
 
 For a pooled tensor of unit-norm vectors with weights <= 1 and no
 centering, a core entry whose index values occur with multiplicities
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, _check_int, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
-from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _sym_packing, _sym_tables,
-                     check_supersymmetric, inner)
+from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _packed_vector,
+                     _sym_expand, _sym_packing, check_supersymmetric, inner)
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -46,26 +47,52 @@ def kappa_for_order(r: int) -> float:
 
 
 @dataclass(frozen=True)
-class HosvdFactors:
-    """Core tensor, shared factor matrix, and the order's kappa. As on DenseTensor, the
-    supersymmetric flag is set by hosvd_supersym and kept by apply_epn_core."""
+class _Packed:
+    """A core as its sorted-tuple entries, just built here from a super-symmetric one:
+    HosvdFactors adopts them unchecked, as _owned adopts a _Fresh array without a copy."""
+    entries: np.ndarray
+    shape: tuple[int, ...]
 
-    core: np.ndarray
+
+@dataclass(frozen=True, init=False)
+class HosvdFactors:
+    """Super-symmetric core, shared factor matrix, and the order's kappa.
+
+    The core is held as its m = binom(d'+r-1, r) distinct entries, one per sorted index
+    tuple in tensor._sym_packing order, with its shape (d',)*r. core expands them to the
+    dense array on each access, read-only and never kept. A dense core given to the
+    constructor is checked once and packed: InputError unless it is cubic of order 2 to
+    MAX_ORDER, DomainError unless check_supersymmetric holds.
+    """
+
+    entries: np.ndarray
+    core_shape: tuple[int, ...]
     factor: np.ndarray
     kappa: float
-    supersymmetric: bool = False
 
-    def __post_init__(self):
-        for name in ("core", "factor"):
-            object.__setattr__(self, name, _owned(getattr(self, name), name))
-        object.__setattr__(self, "kappa", _check_real(self.kappa, "kappa", 0.0))
-        if self.supersymmetric and (self.order < 2 or len(set(self.core.shape)) > 1):
-            raise InputError(
-                f"a super-symmetric core must be cubic of order >= 2, not {self.core.shape}")
+    def __init__(self, core, factor, kappa: float):
+        if isinstance(core, _Packed):
+            entries, shape = _Fresh(core.entries), core.shape
+        else:
+            a = _owned(core, "core")
+            shape = a.shape
+            if not 2 <= a.ndim <= MAX_ORDER or len(set(shape)) > 1:
+                raise InputError(f"a core must be cubic of order 2 to {MAX_ORDER}, not {shape}")
+            if a.size and not check_supersymmetric(DenseTensor(_Fresh(a))):
+                raise DomainError("core is not super-symmetric")
+            entries = _Fresh(a.ravel()[_sym_packing(shape[0], a.ndim)[0]])
+        for name, value in (("entries", _owned(entries, "core")), ("core_shape", shape),
+                            ("factor", _owned(factor, "factor")),
+                            ("kappa", _check_real(kappa, "kappa", 0.0))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def core(self) -> np.ndarray:
+        return _sym_expand(self.entries, self.core_shape[0], self.order)
 
     @property
     def order(self) -> int:
-        return self.core.ndim
+        return len(self.core_shape)
 
     @property
     def rank(self) -> int:
@@ -73,16 +100,12 @@ class HosvdFactors:
 
     @functools.cached_property
     def _dense(self) -> DenseTensor:
-        return DenseTensor(_Fresh(_ambient(self)), self.supersymmetric)
+        return DenseTensor(_Fresh(_ambient(self)), supersymmetric=True)
 
     @functools.cached_property
     def _packed(self) -> np.ndarray:
-        dense = self.__dict__.get("_dense")  # gather from a reconstruction, if one was made
-        a = _ambient(self) if dense is None else dense.data
-        if not (self.supersymmetric or check_supersymmetric(DenseTensor(a))):
-            raise DomainError("core is not super-symmetric; tpe_dot takes any reconstruction")
-        flat, count = _sym_packing(self.factor.shape[0], self.order)
-        return np.sqrt(count, dtype=np.float64) * a.ravel()[flat]
+        dense = self.__dict__.get("_dense")  # share a reconstruction's packed vector
+        return _packed_vector(_ambient(self)) if dense is None else dense._packed
 
 
 def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -118,22 +141,23 @@ def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
     eig = _mode1_gram(t.data)[1]
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
-    core = _all_modes(t.data, u)
-    return HosvdFactors(_Fresh(core), u, kappa_for_order(t.order), supersymmetric=True)
+    entries = _all_modes(t.data, u).ravel()[_sym_packing(dprime, t.order)[0]]
+    return HosvdFactors(_Packed(entries, (dprime,) * t.order), u, kappa_for_order(t.order))
 
 
 def _ambient(f: HosvdFactors) -> np.ndarray:
+    """The d^r tensor of a record: its core, expanded, through every mode of the factor."""
     if f.factor.ndim != 2:
         raise InputError("factor must be a matrix")
     dprime = f.factor.shape[1]
-    if any(s != dprime for s in f.core.shape):
-        raise InputError(f"core dims {f.core.shape} do not match factor rank {dprime}")
+    if f.core_shape[0] != dprime:
+        raise InputError(f"core dims {f.core_shape} do not match factor rank {dprime}")
     return _all_modes(f.core, f.factor.T)
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
-    """Map a core back to the ambient space through the shared factor, with the record's
-    flag. Memoized on the record, which holds the d^r tensor while it lives."""
+    """Map a core back to the ambient space through the shared factor, flagged
+    super-symmetric. Memoized on the record, which holds the d^r tensor while it lives."""
     return f._dense
 
 
@@ -195,29 +219,19 @@ def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
     tanh(eta' x / (2 kappa)) and needs no clamping. Even maps would erase
     coefficient signs, so other kinds are rejected.
 
-    A record flagged super-symmetric is mapped packed: the check and the map
-    see only its m = binom(d'+r-1, r) sorted-tuple entries, and gathers
-    through tensor._sym_tables' r - 1 insertion tables expand them, so the output is
-    exactly super-symmetric. An unflagged record maps every entry in place.
+    The check and the map see only the record's m = binom(d'+r-1, r) sorted-tuple
+    entries, and the new record holds the mapped entries as they are.
     """
     if spec.kind not in ("maxexp", "sigme"):
         raise DomainError(
             f"core normalization needs an odd operator (maxexp or sigme), got {spec.kind}"
         )
-    if f.supersymmetric:
-        shape = f.core.shape[0], f.order
-        flat, tables = _sym_packing(*shape)[0], _sym_tables(*shape)
-    else:
-        flat, tables = np.s_[:], ()
-    out = _odd_map(f.core.ravel()[flat], f.kappa, spec)
-    for t in reversed(tables):
-        out = out[t]
-    return HosvdFactors(_Fresh(out.reshape(f.core.shape)), f.factor, f.kappa, f.supersymmetric)
+    out = _odd_map(f.entries, f.kappa, spec)
+    return HosvdFactors(_Packed(out, f.core_shape), f.factor, f.kappa)
 
 
 def _odd_map(coef: np.ndarray, kappa: float, spec: PnSpec) -> np.ndarray:
-    """apply_epn_core's map of a coefficient vector, as a new array; its temporaries are
-    freed before the caller expands the result."""
+    """apply_epn_core's map of a coefficient vector, as a new array."""
     g = _OPS[spec.kind].g
     x = coef / kappa
     if spec.kind == "sigme":
@@ -245,7 +259,7 @@ def tpe_dot_factored(fx: HosvdFactors, fy: HosvdFactors) -> float:
     A record's first dot memoizes its m = binom(d+r-1, r) sorted-index entries
     times sqrt(multiplicity), held until it is freed, gathered from reconstruct's memo or
     a transient d^r ambient tensor: dearer than a 2r d'^(r+1) core transform if d' << d,
-    but once per record. DomainError if an unflagged record is not super-symmetric.
+    but once per record.
     """
     if fx.order != fy.order:
         raise InputError(f"order mismatch: {fx.order} vs {fy.order}")
@@ -255,7 +269,14 @@ def tpe_dot_factored(fx: HosvdFactors, fy: HosvdFactors) -> float:
 
 
 def tpe_distance(gx: DenseTensor, gy: DenseTensor) -> float:
-    """Frobenius distance between two normalized pooled tensors."""
+    """Frobenius distance between two normalized pooled tensors.
+
+    When both are flagged super-symmetric and cubic it is sqrt(sum count (a - b)^2) over
+    the sorted index tuples: the distance of their packed vectors, which each tensor
+    memoizes. Unflagged tensors, such as those read from files, take the dense difference.
+    """
     if gx.dims != gy.dims:
         raise InputError(f"shape mismatch: {gx.dims} vs {gy.dims}")
+    if gx.supersymmetric and gy.supersymmetric and len(set(gx.dims)) == 1:
+        return float(np.linalg.norm(gx._packed - gy._packed))
     return float(np.linalg.norm((gx.data - gy.data).ravel()))

@@ -6,7 +6,8 @@ Order-r pooling of N feature vectors phi_n with weights w_n and mean mu:
 
 The result is super-symmetric: invariant under any permutation of its indices.
 Orders above 4 are out of scope. The packed layout, one entry per sorted index tuple
-i_1 <= ... <= i_r in lexicographic order, is this module's (_sym_packing, _sym_tables).
+i_1 <= ... <= i_r in lexicographic order, is this module's (_sym_packing, _sym_tables):
+_sym_expand lays packed entries out densely, and _packed_vector packs a dense array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _check_finite, _check_int, _check_real
+from .errors import DomainError, InputError, _check_finite, _check_int, _check_real
 
 MAX_ORDER = 4
 SUPERSYM_TOL = 1e-12
@@ -85,20 +86,24 @@ class DenseTensor:
     """A dense real tensor stored row-major.
 
     The supersymmetric flag is set by constructors that guarantee the
-    property (outer_power, pool); consumers that need it re-verify when the
-    flag is absent.
+    property (outer_power, pool, reconstruct); a flag set on data the library
+    did not just build is checked once (DomainError unless check_supersymmetric).
+    Consumers that need the property re-verify when the flag is absent.
     """
 
     data: np.ndarray
     supersymmetric: bool = False
 
     def __post_init__(self):
+        checked = self.supersymmetric and not isinstance(self.data, _Fresh)
         a = _owned(self.data, "tensor")
         if a.ndim < 1 or a.ndim > MAX_ORDER:
             raise InputError(f"tensor order must be 1..{MAX_ORDER}, got {a.ndim}")
         if any(s < 1 for s in a.shape):
             raise InputError("tensor dimensions must be positive")
         object.__setattr__(self, "data", a)
+        if checked and not check_supersymmetric(self):
+            raise DomainError("tensor flagged super-symmetric is not super-symmetric")
 
     @property
     def order(self) -> int:
@@ -107,6 +112,11 @@ class DenseTensor:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @functools.cached_property
+    def _packed(self) -> np.ndarray:
+        """_packed_vector(data) for a flagged cubic tensor, made on first use and kept."""
+        return _packed_vector(self.data)
 
 
 def check_supersymmetric(t: DenseTensor, tol: float = SUPERSYM_TOL) -> bool:
@@ -147,7 +157,7 @@ def _index_dtype(n: int) -> np.dtype:
 def _kept(a: np.ndarray, dtype) -> np.ndarray:
     """A copy of a in dtype over an immutable bytes buffer, so the writeable flag cannot be
     set again on it or on any view of it: the cached maps are shared by every caller."""
-    return np.frombuffer(a.astype(dtype).tobytes(), dtype).reshape(a.shape)
+    return np.frombuffer(a.astype(dtype, copy=False).tobytes(), dtype).reshape(a.shape)
 
 
 # bytes of index maps kept across calls, over every shape: room for every d' <= 64 at r = 3
@@ -183,21 +193,36 @@ def _cached_maps(build):
     return cached
 
 
+def _grown(last: np.ndarray, v: np.ndarray):
+    """One level longer: each sorted tuple, with last index last[q], takes every index
+    v >= last[q]. The new tuples are the True cells, in row-major order, of the returned
+    (len(last), d) mask; also returned are their last indices and spread(a), which repeats
+    a per-tuple array over each tuple's new ones."""
+    grow = v >= last[:, None]
+    return grow, np.broadcast_to(v, grow.shape)[grow], (
+        lambda a: np.broadcast_to(a[:, None], grow.shape)[grow])
+
+
 @_cached_maps
 def _sym_packing(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat (d,)*r positions of the m sorted tuples i_1 <= ... <= i_r, in order, and their
-    counts r!/prod m_k!, grown by each j >= the last index in O(m). Each is kept in its
-    smallest unsigned dtype (counts uint8): 5 bytes per sorted tuple at (64, 3) and (24, 4)."""
-    flat = last = run = np.zeros(1, dtype=np.intp)
-    count = np.ones(1, dtype=np.intp)
+    counts r!/prod m_k!, grown by each v >= the last index in O(m). Each is kept in its
+    smallest unsigned dtype (counts uint8): 5 bytes per sorted tuple at (64, 3) and (24, 4).
+    The build holds each m-length array in its own smallest dtype too: last indices < d,
+    run lengths <= r."""
+    v = np.arange(d, dtype=_index_dtype(d))
+    last, run = np.zeros(1, v.dtype), np.zeros(1, np.uint8)
+    flat = np.zeros(1, _index_dtype(max(d**r, d + 1)))  # room for the step's factor d
+    count = np.ones(1, _index_dtype(math.factorial(r) + 1))  # holds count * k <= k!
     for k in range(1, r + 1):
-        reps = d - last
-        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        last = np.repeat(last, reps) + offset
-        flat = np.repeat(flat, reps) * d + last
-        run = np.where(offset == 0, np.repeat(run, reps) + 1, 1)
-        count = np.repeat(count, reps) * k // run  # exact: the quotient is a multinomial
-    return _kept(flat, _index_dtype(d**r)), _kept(count, _index_dtype(math.factorial(r) + 1))
+        new, spread = _grown(last, v)[1:]
+        flat = spread(flat)
+        flat *= d
+        flat += new
+        run = np.where(new == spread(last), spread(run) + 1, 1)
+        count = spread(count) * k // run  # exact: the quotient is a multinomial
+        last = new
+    return _kept(flat, _index_dtype(d**r)), _kept(count, count.dtype)
 
 
 @_cached_maps
@@ -205,24 +230,43 @@ def _sym_tables(d: int, r: int) -> tuple[np.ndarray, ...]:
     """Insertion tables T_2 .. T_r of the sorted tuples, numbered in _sym_packing's order:
     T_k[q, v] is the number of sorted(u + (v,)) among the sorted k-tuples, u the q-th sorted
     (k-1)-tuple. Gathering m values through T_r, then T_(r-1), ..., T_2 lays them out as the
-    (d,)*r super-symmetric tensor, with m_(k-1) d entries in T_k, not d^r.
+    (d,)*r super-symmetric tensor (_sym_expand), with m_(k-1) d entries in T_k, not d^r.
 
     Level by level: (u, v) is already sorted when v >= u's last index, and then numbered
     base[u] + v; otherwise it sorts to sorted(u[:-1] + (v,)), which T_(k-1) numbers, followed
-    by u's last index. Each table is in the smallest unsigned dtype for its m_k (uint16 while
-    m_k <= 65,536)."""
-    v = np.arange(d)
-    last, prefix, tables = v, np.zeros(d, np.intp), (v[None],)
+    by u's last index. Each table is built in the smallest unsigned dtype for its m_k (uint16
+    while m_k <= 65,536), and so is every array the build holds."""
+    v = np.arange(d, dtype=_index_dtype(d))
+    last, prefix, tables = v, np.zeros(d, np.uint8), (v[None],)
     for _ in range(2, r + 1):
-        reps = d - last
-        base = np.cumsum(reps) - reps - last
+        grow, new, spread = _grown(last, v)
+        reps = np.count_nonzero(grow, axis=1)
+        dtype = _index_dtype(int(reps.sum()))
+        base = (np.cumsum(reps) - reps - last).astype(dtype)  # >= 0: tuple q is >= last[q]-th
         t = base[tables[-1][prefix]]
-        t += last[:, None]
-        np.add(base[:, None], v, out=t, where=v >= last[:, None])
-        tables += (_kept(t, _index_dtype(reps.sum())),)
-        prefix = np.repeat(np.arange(last.size), reps)
-        last = np.arange(reps.sum()) - np.repeat(base, reps)
+        t += last[:, None]  # may wrap where v >= last, which np.add then overwrites
+        np.add(base[:, None], v, out=t, where=grow)
+        tables += (_kept(t, dtype),)
+        prefix, last = spread(np.arange(last.size, dtype=_index_dtype(last.size))), new
     return tables[1:]
+
+
+def _sym_expand(entries: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The (d,)*r super-symmetric array whose sorted-tuple entries, in _sym_packing order,
+    are entries: gathered through _sym_tables(d, r), fresh on each call, and read-only for
+    good (a view of a frozen array)."""
+    out = entries
+    for t in reversed(_sym_tables(d, r)):
+        out = out[t]
+    out.flags.writeable = False
+    return out.view()
+
+
+def _packed_vector(a: np.ndarray) -> np.ndarray:
+    """sqrt(count) times each sorted-tuple entry of a cubic super-symmetric array of order
+    >= 2, so that the dot of two such vectors is the Frobenius inner product of the arrays."""
+    flat, count = _sym_packing(a.shape[0], a.ndim)
+    return np.sqrt(count, dtype=np.float64) * a.ravel()[flat]
 
 
 def pool(features: FeatureSet, r: int) -> DenseTensor:
@@ -285,7 +329,7 @@ def mode_product(t: DenseTensor, v, mode: int) -> DenseTensor:
         raise InputError(f"vector length {v.shape} does not match mode size {t.dims[mode - 1]}")
     data = np.tensordot(t.data, v, axes=([mode - 1], [0]))
     keep_flag = t.supersymmetric and data.ndim >= 2
-    return DenseTensor(data, supersymmetric=keep_flag)
+    return DenseTensor(_Fresh(data), supersymmetric=keep_flag)
 
 
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:

@@ -412,6 +412,23 @@ def test_figure_fig1_bins_beyond_the_grid_cap_exit_2(tmp_path, capsys):
     assert peak < 8 * 10**6  # the 10^5 default samples; the refused edges alone are 80 MB
 
 
+def test_figure_fig1_checks_bins_before_drawing(tmp_path, capsys):
+    """A refused --bins costs none of the --n samples (16 MB at --n 10^6 if drawn first)."""
+    out = tmp_path / "fig1.csv"
+    tracemalloc.start()
+    try:
+        code = main(["figure", "--which", "fig1", "--n", "1000000", "--bins", "10000001",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bins must be at most 10000000, got 10000001\n"
+    assert not out.exists()
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize("theorem", ["4", "5"])
 def test_verify_ode_non_finite_scale_exits_3(capsys, theorem):
     assert main(["verify", "--theorem", theorem, "--t-scale", "nan"]) == 3

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -247,10 +248,14 @@ def test_apply_epn_core_zero_and_peak():
 
 def test_apply_epn_core_smooth_vs_saturating():
     # eta' = 2*eta matches the slope at zero; the worst-case difference over
-    # the full coefficient range sits near the origin at about 0.1238
+    # the full coefficient range sits near the origin at about 0.1238. The grid is the
+    # upper triangle of a symmetric (447, 447) core, padded with zeros
     k = kappa_for_order(3)
-    grid = np.linspace(-k, k, 100_001)
-    base = HosvdFactors(grid, np.eye(1), k)
+    core = np.zeros((447, 447))
+    iu = np.triu_indices(447)
+    core[iu] = np.concatenate([np.linspace(-k, k, 100_001), np.zeros(iu[0].size - 100_001)])
+    core.T[iu] = core[iu]
+    base = HosvdFactors(core, np.eye(447), k)
     hard = apply_epn_core(base, PnSpec("maxexp", 20))
     soft = apply_epn_core(base, PnSpec("sigme", 40))
     diff = float(np.max(np.abs(hard.core - soft.core)))
@@ -275,12 +280,15 @@ def test_apply_epn_core_kappa_excess():
 
 
 def test_reconstruct_single_entry():
+    """One sorted tuple, (0, 1, 2), set on each of its six index permutations."""
     rng = np.random.default_rng(35)
     q, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     core = np.zeros((3, 3, 3))
-    core[1, 0, 2] = -0.7
+    for p in itertools.permutations(range(3)):
+        core[p] = -0.7
     t = reconstruct(HosvdFactors(core, q, kappa_for_order(3)))
-    want = -0.7 * np.einsum("i,j,k->ijk", q[:, 1], q[:, 0], q[:, 2])
+    want = -0.7 * sum(np.einsum("i,j,k->ijk", *q[:, list(p)].T)
+                      for p in itertools.permutations(range(3)))
     assert_allclose(t.data, want, atol=1e-14)
 
 
@@ -399,7 +407,8 @@ def test_query_ambient_tensor_built_once(monkeypatch):
     rec = reconstruct(query)
     assert reconstruct(query) is rec
     dots = [tpe_dot_factored(query, e) for e in gallery]
-    assert sum(a is query.core for a in calls) == 1
+    assert sum(np.array_equal(a, query.core) for a in calls) == 1
+    assert query._packed is rec._packed  # one packed vector per reconstruction
     assert len(calls) == 9
     assert dots == [tpe_dot_factored(e, query) for e in gallery]
 
@@ -420,25 +429,29 @@ def test_reconstructed_query_dot_peak_memory_below_one_ambient_tensor():
 
 
 def test_records_carry_the_supersymmetric_flag():
+    """Every record is super-symmetric, so none carries a flag; its reconstruction does."""
     f = _epn_pipeline(63, 4)
-    assert f.supersymmetric and hosvd_supersym(_pooled(63, 4)).supersymmetric
+    assert "supersymmetric" not in {field.name for field in dataclasses.fields(HosvdFactors)}
+    assert not hasattr(f, "supersymmetric")
     assert reconstruct(f).supersymmetric
-    plain = HosvdFactors(f.core, f.factor, f.kappa)
-    assert not plain.supersymmetric
-    assert not apply_epn_core(plain, PnSpec("sigme", 4)).supersymmetric
-    # an unflagged super-symmetric record is verified and then dots as before
-    assert tpe_dot_factored(plain, f) == tpe_dot_factored(f, f)
+    built = HosvdFactors(f.core, f.factor, f.kappa)  # a dense core, checked and packed
+    assert np.array_equal(built.entries, f.entries) and built.core_shape == f.core_shape
+    assert reconstruct(apply_epn_core(built, PnSpec("sigme", 4))).supersymmetric
+    assert tpe_dot_factored(built, f) == tpe_dot_factored(f, f)
 
 
 def test_factored_dot_refuses_unflagged_asymmetric_core():
+    """An asymmetric core is refused when the record is built, before any dot; a core
+    within check_supersymmetric's tolerance is packed and keeps its sorted-tuple entries."""
     rng = np.random.default_rng(0)
-    f = HosvdFactors(rng.normal(size=(3, 3, 3)), np.eye(3), 1.0)
-    rec = reconstruct(f)
-    assert not rec.supersymmetric and not check_supersymmetric(rec)
-    assert_allclose(tpe_dot(rec, rec), np.sum(f.core**2), rtol=1e-14)
-    for a, b in ((f, f), (f, _sym_record(rng, 3, 3, 3)), (_sym_record(rng, 3, 3, 3), f)):
-        with pytest.raises(DomainError, match="core is not super-symmetric"):
-            tpe_dot_factored(a, b)
+    core = rng.normal(size=(3, 3, 3))
+    assert not check_supersymmetric(DenseTensor(core))
+    with pytest.raises(DomainError, match="core is not super-symmetric"):
+        HosvdFactors(core, np.eye(3), 1.0)
+    near = _sym_record(rng, 3, 3, 3).core.copy()
+    near[0, 1, 2] += 1e-14
+    flat = _sym_packing(3, 3)[0]
+    assert np.array_equal(HosvdFactors(near, np.eye(3), 1.0).entries, near.ravel()[flat])
 
 
 def _sorted_tuples(d, r):
@@ -448,6 +461,16 @@ def _sorted_tuples(d, r):
     counts = [math.factorial(r) // math.prod(math.factorial(m) for m in Counter(t).values())
               for t in tuples]
     return flat, counts
+
+
+def _symmetric(values, d, r):
+    """The (d,)*r array whose entry at every index tuple is values[q], q the number of the
+    tuple's sorted form: exactly super-symmetric, written without tensor's maps."""
+    number = {t: q for q, t in enumerate(itertools.combinations_with_replacement(range(d), r))}
+    out = np.empty((d,) * r)
+    for idx in np.ndindex(out.shape):
+        out[idx] = values[number[tuple(sorted(idx))]]
+    return out
 
 
 def test_sym_index_lists_sorted_tuples_and_multinomials():
@@ -481,6 +504,20 @@ def test_apply_epn_core_peak_memory_below_twice_the_output(d, r, spec):
     finally:
         tracemalloc.stop()
     assert f.rank == d and peak <= 2 * out.core.nbytes
+
+
+@pytest.mark.parametrize("d, r", [(48, 3), (64, 3), (24, 4)])
+def test_sym_map_builds_peak_below_four_times_the_kept_bytes(d, r):
+    """Every m-length array a build holds is in its smallest dtype (indices < d, runs <= r,
+    table entries < m_k): 0.65 and 0.80 MiB at (64, 3), not 2.11 and 2.38 MiB in intp."""
+    for build in (_sym_packing.__wrapped__, _sym_tables.__wrapped__):
+        tracemalloc.start()
+        try:
+            kept = sum(a.nbytes for a in build(d, r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * kept
 
 
 def test_sym_maps_are_compact_read_only_and_complete():
@@ -519,32 +556,37 @@ def test_sym_maps_are_bounded_by_bytes(monkeypatch):
 
 
 def test_factored_dot_builds_no_tables(monkeypatch):
-    """A rank-truncated record's packed dot reads only the ambient packing; the tables
-    are built at the core's own shape, by apply_epn_core."""
+    """A rank-truncated record's packed dot builds no tables at the ambient shape: it
+    expands the core through the core shape's tables and reads only the ambient packing.
+    hosvd_supersym reads only the core shape's packing, and apply_epn_core no map at all."""
     monkeypatch.setattr(tensor, "_maps", OrderedDict())
     x = np.random.default_rng(5).normal(size=(5, 9))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     f = hosvd_supersym(pool(FeatureSet(x), 3))
-    assert f.rank == 5
+    assert f.rank == 5 and list(tensor._maps) == [("_sym_packing", 5, 3)]
+    g = apply_epn_core(f, PnSpec("sigme", 4.0))
+    assert list(tensor._maps) == [("_sym_packing", 5, 3)]
     tpe_dot_factored(f, f)
-    assert list(tensor._maps) == [("_sym_packing", 9, 3)]
-    tpe_dot_factored(apply_epn_core(f, PnSpec("sigme", 4.0)), f)
-    assert set(tensor._maps) == {("_sym_packing", 9, 3), ("_sym_packing", 5, 3),
-                                ("_sym_tables", 5, 3)}
+    maps = [("_sym_packing", 5, 3), ("_sym_tables", 5, 3), ("_sym_packing", 9, 3)]
+    assert list(tensor._maps) == maps
+    tpe_dot_factored(g, f)
+    assert set(tensor._maps) == set(maps)
 
 
 def test_packed_map_keeps_the_kappa_refusal():
     f = hosvd_supersym(outer_power(np.eye(3)[0], 3))
-    assert f.supersymmetric and abs(f.core.item()) == 1.0
+    assert f.entries.shape == (1,) and abs(f.core.item()) == 1.0
     with pytest.raises(DomainError, match="exceeds kappa"):
         apply_epn_core(f, PnSpec("maxexp", 4))
-    assert apply_epn_core(f, PnSpec("sigme", 4)).supersymmetric
+    g = apply_epn_core(f, PnSpec("sigme", 4))
+    assert g.entries.shape == (1,) and g.core_shape == (1, 1, 1)
 
 
 def test_flagged_records_have_cubic_cores():
-    for core in (np.zeros((2, 3, 3)), np.zeros(2), np.zeros(())):
-        with pytest.raises(InputError, match="super-symmetric core must be cubic"):
-            HosvdFactors(core, np.eye(3, 2), 1.0, supersymmetric=True)
+    """Every record's core is super-symmetric, so a dense core must be cubic of order 2..4."""
+    for core in (np.zeros((2, 3, 3)), np.zeros(2), np.zeros(()), np.zeros((2,) * 5)):
+        with pytest.raises(InputError, match="a core must be cubic of order 2 to 4, not"):
+            HosvdFactors(core, np.eye(3, 2), 1.0)
 
 
 def test_sorted_index_layout_is_defined_in_tensor_alone():
@@ -561,6 +603,20 @@ def test_sorted_index_layout_is_defined_in_tensor_alone():
                 triu.add(path.stem)
     assert defined == {("tensor", "_sym_packing"), ("tensor", "_sym_tables")}
     assert triu <= {"tensor"}
+
+
+def test_core_expansion_is_defined_in_tensor_alone():
+    """A packed core is laid out densely in one place: _sym_expand is defined in tensor
+    only, and no other module reads the insertion tables it gathers through."""
+    defined, tables = set(), set()
+    for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_sym_expand":
+                defined.add(path.stem)
+            if "_sym_tables" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)):
+                tables.add(path.stem)
+    assert defined == {"tensor"} and tables == {"tensor"}
 
 
 def test_subspace_expansion_with_distinct_factors():
@@ -630,10 +686,10 @@ def _ref_core(core, kappa, spec):
 def test_apply_epn_core_matches_reference_exactly(r, spec):
     k = kappa_for_order(r)
     rng = np.random.default_rng(100 + r)
-    core = rng.uniform(-k, k, size=(3,) * r)
-    flat = core.reshape(-1)
+    values = rng.uniform(-k, k, size=math.comb(r + 2, r))
     # exact peaks, signed zeros, and a sub-tolerance excess that is clipped
-    flat[:5] = [k, -k, 0.0, -0.0, k + 1e-12]
+    values[:5] = [k, -k, 0.0, -0.0, k + 1e-12]
+    core = _symmetric(values, 3, r)
     f = HosvdFactors(core, np.eye(4, 3), k)
     got = apply_epn_core(f, spec).core
     assert np.array_equal(got, _ref_core(core, k, spec))
@@ -649,6 +705,85 @@ def _assert_packed_map(f, spec):
     assert np.array_equal(got.ravel()[flat], want.ravel()[flat])
     assert got.size == 0 or check_supersymmetric(DenseTensor(got), tol=0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.sampled_from([2, 3, 4]), d=st.integers(1, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_records_match_the_dense_references(r, d, data, seed):
+    """A record built from an exactly super-symmetric core gives that core back bit for bit,
+    and reconstruct, apply_epn_core and tpe_dot_factored match dense references."""
+    rng = np.random.default_rng(seed)
+    dprime = data.draw(st.integers(0, min(d, 6)))
+    k = kappa_for_order(r)
+    cores = [_symmetric(rng.uniform(-k, k, size=math.comb(dprime + r - 1, r)), dprime, r)
+             for _ in range(2)]
+    factors = [rng.normal(size=(d, dprime)) for _ in range(2)]
+    fx, fy = (HosvdFactors(c, u, k) for c, u in zip(cores, factors))
+    assert np.array_equal(fx.core, cores[0]) and fx.core.shape == (dprime,) * r
+    refs = []
+    for f, core, u in zip((fx, fy), cores, factors):
+        ref = core
+        for axis in range(r):
+            ref = np.moveaxis(np.tensordot(ref, u, axes=([axis], [1])), -1, axis)
+        got = reconstruct(f).data
+        assert got.shape == (d,) * r
+        scale = max(1.0, np.max(np.abs(ref), initial=0.0))
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+        refs.append(ref)
+    for spec in (PnSpec("maxexp", 7.5), PnSpec("sigme", 4.0)):
+        assert np.array_equal(apply_epn_core(fx, spec).core, _ref_core(cores[0], k, spec))
+    dense = float(np.vdot(*refs))
+    assert abs(tpe_dot_factored(fx, fy) - dense) <= 1e-12 * (
+        np.linalg.norm(refs[0]) * np.linalg.norm(refs[1]) + 1e-300)
+
+
+def test_normalized_record_holds_no_dense_core():
+    """A record from apply_epn_core(hosvd_supersym(pool(X, 4))) at d = 24 holds its m =
+    17,550 distinct core entries and its factor, 145 KB, not a 24^4 core (2.65 MB)."""
+    x = np.random.default_rng(65).normal(size=(500, 24))
+    x *= 0.5 / np.linalg.norm(x, axis=1, keepdims=True)
+    f = hosvd_supersym(pool(FeatureSet(x), 4))
+    apply_epn_core(f, PnSpec("sigme", 4.0))  # any map this shape needs is built
+    tracemalloc.start()
+    try:
+        g = apply_epn_core(f, PnSpec("sigme", 4.0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 8 * math.comb(27, 4)
+    assert g.rank == 24 and g.entries.shape == (math.comb(27, 4),)
+    assert all(a.size < 24**4 for a in vars(g).values() if isinstance(a, np.ndarray))
+
+
+def test_packed_distance_matches_the_dense_one():
+    """Flagged tensors take the packed distance, memoized per tensor and within rounding of
+    the dense one; unflagged ones, such as tensors read from files, the dense path exactly."""
+    ga, gb = reconstruct(_epn_pipeline(67, 5)), reconstruct(_epn_pipeline(68, 5))
+    dense = float(np.linalg.norm((ga.data - gb.data).ravel()))
+    got = tpe_distance(ga, gb)
+    assert abs(got - dense) <= 1e-14 * dense
+    assert ga._packed is vars(ga)["_packed"] and tpe_distance(gb, ga) == got
+    plain_a, plain_b = DenseTensor(ga.data), DenseTensor(gb.data)
+    assert tpe_distance(plain_a, plain_b) == dense and "_packed" not in vars(plain_a)
+    for r in (2, 3, 4):
+        x = np.random.default_rng(69).normal(size=(3, 6))
+        ta, tb = pool(FeatureSet(x), r), outer_power(x[0], r)
+        assert_allclose(tpe_distance(ta, tb), np.linalg.norm(ta.data - tb.data), rtol=1e-13)
+
+
+def test_packed_distance_makes_no_ambient_temporary():
+    x = np.random.default_rng(70).normal(size=(60, 24))
+    ga, gb = (reconstruct(apply_epn_core(hosvd_supersym(pool(FeatureSet(y), 4)),
+                                         PnSpec("sigme", 4.0))) for y in (x[:30], x[30:]))
+    tpe_distance(gb, gb)
+    tracemalloc.start()
+    try:
+        tpe_distance(ga, gb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24**4 * 8 / 4
 
 
 def test_apply_epn_core_pooled_matches_reference_exactly():

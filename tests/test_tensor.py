@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from hotpool import (
     DenseTensor,
+    DomainError,
     FeatureSet,
     HosvdFactors,
     InputError,
@@ -391,14 +392,17 @@ def test_record_arrays_cannot_be_made_writable():
 def test_adopted_arrays_stay_frozen():
     # pool, hosvd_supersym, apply_epn_core, reconstruct, outer_power and
     # unfolded_factor_vjp hand records the arrays they just built, reshaped or
-    # gathered ones included, and the buffer a view shares is frozen with it
+    # gathered ones included, and the buffer a view shares is frozen with it;
+    # a record's core, expanded anew on each access, is frozen the same way
     rng = np.random.default_rng(14)
     arrays = []
     for r in (2, 3, 4):
         t = pool(FeatureSet(rng.normal(size=(20, 4))), r)
         f = hosvd_supersym(t)
         g = apply_epn_core(f, PnSpec("sigme", 4))
-        arrays += [t.data, f.core, g.core, reconstruct(g).data, outer_power(np.ones(3), r).data]
+        assert f.core is not f.core and "core" not in vars(g)
+        arrays += [t.data, f.entries, g.entries, f.core, g.core, reconstruct(g).data,
+                   outer_power(np.ones(3), r).data]
     arrays.append(unfolded_factor_vjp(pool(FeatureSet(rng.normal(size=(20, 4))), 3),
                                       rng.normal(size=(4, 4))).data)
     for arr in arrays:
@@ -412,6 +416,18 @@ def test_adopted_arrays_are_checked_finite():
     for build in (lambda: pool(FeatureSet(np.full((3, 2), 1e120)), 3), lambda: reconstruct(huge)):
         with np.errstate(over="ignore"), pytest.raises(InputError, match="tensor must be finite"):
             build()
+
+
+def test_a_hand_set_flag_is_checked_once():
+    """tpe_distance and hosvd_supersym trust the flag, so a flag on data the library did
+    not build is verified when the tensor is made; the library's own results are not."""
+    a = np.random.default_rng(15).normal(size=(3, 3, 3))
+    with pytest.raises(DomainError, match="flagged super-symmetric is not"):
+        DenseTensor(a, supersymmetric=True)
+    sym = sum(a.transpose(p) for p in itertools.permutations(range(3)))
+    assert DenseTensor(sym, supersymmetric=True).supersymmetric
+    assert not DenseTensor(a).supersymmetric
+    assert mode_product(outer_power(np.ones(3), 3), np.ones(3), 1).supersymmetric
 
 
 def test_feature_set_validation():
