@@ -4,9 +4,9 @@ A super-symmetric order-r tensor T factors as T = G x_1 U x_2 U ... x_r U
 with a single orthonormal factor U (d x d') and core G (d' x ... x d').
 U comes from the eigenvectors of the mode-1 Gram matrix M1 M1^T, truncated
 at the rank cutoff d * eps * lambda_max. A record holds its core packed, one entry per
-sorted index tuple of tensor's layout, and tensor._sym_expand lays it out densely for core
-and reconstruct. Record arrays cannot be made writable again (writing via .base is
-unsupported), so a record's reconstruction and packed-vector memos stay valid.
+sorted index tuple of tensor's layout, and tensor._sym_expand lays it out densely for core,
+and row by row for reconstruct. Record arrays cannot be made writable again (writing via
+.base is unsupported), so a record's reconstruction and packed-vector memos stay valid.
 
 For a pooled tensor of unit-norm vectors with weights <= 1 and no
 centering, a core entry whose index values occur with multiplicities
@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import DomainError, InputError, _check_int, _check_real
 from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
-from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _packed_vector,
-                     _sym_expand, _sym_packing, check_supersymmetric, inner)
+from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _pack_rows,
+                     _packed_vector, _sym_expand, _sym_packing, _sym_rows, check_supersymmetric,
+                     inner)
 
 # soft ceiling on |coefficient| - kappa before clamping warns
 KAPPA_EXCESS_TOL = 1e-9
@@ -54,7 +55,7 @@ class _Packed:
     shape: tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class HosvdFactors:
     """Super-symmetric core, shared factor matrix, and the order's kappa.
 
@@ -62,7 +63,8 @@ class HosvdFactors:
     tuple in tensor._sym_packing order, with its shape (d',)*r. core expands them to the
     dense array on each access, read-only and never kept. A dense core given to the
     constructor is checked once and packed: InputError unless it is cubic of order 2 to
-    MAX_ORDER, DomainError unless check_supersymmetric holds.
+    MAX_ORDER, DomainError unless check_supersymmetric holds. Every record is checked for
+    a (d, d') factor matrix with the core's d' (InputError).
     """
 
     entries: np.ndarray
@@ -81,9 +83,13 @@ class HosvdFactors:
             if a.size and not check_supersymmetric(DenseTensor(_Fresh(a))):
                 raise DomainError("core is not super-symmetric")
             entries = _Fresh(a.ravel()[_sym_packing(shape[0], a.ndim)[0]])
+        u = _owned(factor, "factor")
+        if u.ndim != 2:
+            raise InputError("factor must be a matrix")
+        if shape[0] != u.shape[1]:
+            raise InputError(f"core dims {shape} do not match factor rank {u.shape[1]}")
         for name, value in (("entries", _owned(entries, "core")), ("core_shape", shape),
-                            ("factor", _owned(factor, "factor")),
-                            ("kappa", _check_real(kappa, "kappa", 0.0))):
+                            ("factor", u), ("kappa", _check_real(kappa, "kappa", 0.0))):
             object.__setattr__(self, name, value)
 
     @property
@@ -108,15 +114,15 @@ class HosvdFactors:
         return _packed_vector(_ambient(self)) if dense is None else dense._packed
 
 
-def _all_modes(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Contract every axis of a, in turn, with the first axis of mat.
+def _all_modes(a: np.ndarray, mat: np.ndarray, steps: int) -> np.ndarray:
+    """Contract the leading axis of a, steps times in turn, with the first axis of mat.
 
     Each step is one GEMM that contracts the leading axis and appends the
     new one last, so after a.ndim steps the axes are back in order without
     a moveaxis copy. Shapes are explicit products rather than -1, which
     numpy cannot infer when an axis has size 0 (a rank-0 core).
     """
-    for _ in range(a.ndim):
+    for _ in range(steps):
         rest = a.shape[1:]
         a = (a.reshape(a.shape[0], math.prod(rest)).T @ mat).reshape(rest + (mat.shape[1],))
     return a
@@ -133,26 +139,36 @@ def _mode1_gram(data: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
 
 
 def hosvd_supersym(t: DenseTensor) -> HosvdFactors:
-    """Factor a super-symmetric tensor with one shared orthonormal basis."""
+    """Factor a super-symmetric tensor with one shared orthonormal basis.
+
+    The core is T x_1 U^T ... x_r U^T, and every partial product is symmetric in the axes
+    not yet contracted, so the end steps run on distinct slices only: the first product on
+    the m_(r-1) = binom(d+r-2, r-1) distinct rows of T.reshape(d^(r-1), d), expanded back
+    by whole rows; the middle r - 2 are dense GEMMs; the last runs on the m'_(r-1) distinct
+    columns, and the packed entries are read off its (m'_(r-1), d') rows.
+    """
     if t.order < 2:
         raise InputError("hosvd needs order >= 2")
     if not (t.supersymmetric or check_supersymmetric(t)):
         raise DomainError("tensor is not super-symmetric")
     eig = _mode1_gram(t.data)[1]
+    d, r = t.dims[0], t.order
     dprime = int(np.sum(eig.values > _rank_cutoff(eig.values)))
     u = eig.vectors[:, :dprime]
-    entries = _all_modes(t.data, u).ravel()[_sym_packing(dprime, t.order)[0]]
-    return HosvdFactors(_Packed(entries, (dprime,) * t.order), u, kappa_for_order(t.order))
+    # each step rebinds a, so no row or column temporary outlives its step
+    a = _all_modes(_sym_expand(t.data.reshape(-1, d)[_sym_packing(d, r - 1)[0]] @ u, d, r - 1),
+                   u, r - 2)
+    a = a.reshape(d, math.prod(a.shape[1:]))[:, _sym_packing(dprime, r - 1)[0]]
+    a = a.T @ u
+    entries = _pack_rows(a, dprime, r)
+    return HosvdFactors(_Packed(entries, (dprime,) * r), u, kappa_for_order(r))
 
 
 def _ambient(f: HosvdFactors) -> np.ndarray:
-    """The d^r tensor of a record: its core, expanded, through every mode of the factor."""
-    if f.factor.ndim != 2:
-        raise InputError("factor must be a matrix")
-    dprime = f.factor.shape[1]
-    if f.core_shape[0] != dprime:
-        raise InputError(f"core dims {f.core_shape} do not match factor rank {dprime}")
-    return _all_modes(f.core, f.factor.T)
+    """The d^r tensor of a record: the first mode product on the core's m_(r-1) distinct
+    rows, expanded, then the other r - 1 through the factor."""
+    dprime, r, ut = f.rank, f.order, f.factor.T
+    return _all_modes(_sym_expand(_sym_rows(f.entries, dprime, r) @ ut, dprime, r - 1), ut, r - 1)
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:

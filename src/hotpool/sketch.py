@@ -27,7 +27,7 @@ from .tensor import _owned
 RNG_NAME = "philox4x64"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchPlan:
     """Bucket and sign assignments for one sketch projection.
 

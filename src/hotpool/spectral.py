@@ -106,7 +106,7 @@ class PnSpec:
         object.__setattr__(self, "param", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues in descending order with matching orthonormal columns."""
 

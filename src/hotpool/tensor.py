@@ -7,7 +7,8 @@ Order-r pooling of N feature vectors phi_n with weights w_n and mean mu:
 The result is super-symmetric: invariant under any permutation of its indices.
 Orders above 4 are out of scope. The packed layout, one entry per sorted index tuple
 i_1 <= ... <= i_r in lexicographic order, is this module's (_sym_packing, _sym_tables):
-_sym_expand lays packed entries out densely, and _packed_vector packs a dense array.
+_sym_expand lays packed entries out densely, _sym_rows and _pack_rows convert them to and
+from rows of one free last index, and _packed_vector packs a dense array.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _owned(a, name: str, dtype=np.float64):
     return out.view()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
     """N feature vectors with per-vector weights and a shared mean.
 
@@ -81,7 +82,7 @@ class FeatureSet:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """A dense real tensor stored row-major.
 
@@ -252,14 +253,34 @@ def _sym_tables(d: int, r: int) -> tuple[np.ndarray, ...]:
 
 
 def _sym_expand(entries: np.ndarray, d: int, r: int) -> np.ndarray:
-    """The (d,)*r super-symmetric array whose sorted-tuple entries, in _sym_packing order,
-    are entries: gathered through _sym_tables(d, r), fresh on each call, and read-only for
-    good (a view of a frozen array)."""
+    """The (d,)*r + trailing array, super-symmetric in its first r axes, whose sorted-tuple
+    entries, in _sym_packing order, are entries (m, *trailing): fresh on each call, and
+    read-only for good (a view of a frozen array). At r = 1 that is entries itself, frozen.
+    The insertion tables _sym_tables(d, r) are composed into one (d,)*r index first, so the
+    values are gathered once, by whole trailing blocks, with no intermediate of their own."""
+    tables = _sym_tables(d, r)
     out = entries
-    for t in reversed(_sym_tables(d, r)):
-        out = out[t]
-    out.flags.writeable = False
+    if tables:
+        index = tables[-1]
+        for t in reversed(tables[:-1]):
+            index = index[t]
+        out = entries[index]
+    out.setflags(write=False)  # unlike flags.writeable, holds no memory while out lives
     return out.view()
+
+
+def _sym_rows(entries: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The (m_(r-1), d) rows of r-tuple entries, r >= 2: row q holds the entries at
+    sorted(u_q + (v,)) for v = 0 .. d-1, u_q the q-th sorted (r-1)-tuple. Gathered through
+    the last insertion table, so _sym_expand(rows, d, r - 1) is _sym_expand(entries, d, r)."""
+    return entries[_sym_tables(d, r)[-1]]
+
+
+def _pack_rows(rows: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The sorted r-tuple entries, in _sym_packing(d, r) order, of (m_(r-1), d) rows laid
+    out as _sym_rows lays them out: the cells v >= the last index of u_q, row by row."""
+    last = _sym_packing(d, r - 1)[0] % max(d, 1)
+    return rows[np.arange(d, dtype=last.dtype) >= last[:, None]]  # one dtype: no cast buffers
 
 
 def _packed_vector(a: np.ndarray) -> np.ndarray:
@@ -275,7 +296,8 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
     Only index pairs i <= j are computed, and T equals T.swapaxes(0, 1)
     exactly: r=2 is q^T q with q = w*phi; r=3 fills T[i, i:, :] with
     (w^3 phi_i phi_{i:})^T phi and mirrors it to T[i:, i, :]; r=4 gathers the Gram of
-    the packed pair products w^2 phi_i phi_j through the pair table _sym_tables(d, 2)[0].
+    the packed pair products w^2 phi_i phi_j, divided by N, through the pair table
+    _sym_tables(d, 2)[0] into a C-order array.
     For r >= 3 rows are summed in blocks of d^2, so no temporary outsizes the result.
     """
     _check_int(r, "order", 2, MAX_ORDER)
@@ -297,13 +319,17 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
             data[i + 1 :, i] = data[i, i + 1 :]
     else:
         i, j = divmod(_sym_packing(d, 2)[0], d)
-        pair = _sym_tables(d, 2)[0]
         for s in range(0, n, d * d):
-            x, w2 = phi[s : s + d * d], w[s : s + d * d] ** 2
-            xt = np.ascontiguousarray(x.T)
-            p = (xt[i] * w2) * xt[j]
+            xt = np.ascontiguousarray(phi[s : s + d * d].T)
+            p = xt[i]
+            p *= w[s : s + d * d] ** 2
+            p *= xt[j]
             gram = p @ p.T if s == 0 else gram + p @ p.T
-        data = gram[pair][:, :, pair]
+        del p, xt  # before the d^4 gather
+        gram /= n  # m_2^2 divisions before the gather, not d^4 after it
+        pair = _sym_tables(d, 2)[0]
+        # take along the last axis keeps the gather C-order, so the record adopts it uncopied
+        return DenseTensor(_Fresh(np.take(gram[pair], pair, axis=2)), supersymmetric=True)
     data /= n
     return DenseTensor(_Fresh(data), supersymmetric=True)
 

@@ -320,7 +320,7 @@ def test_all_modes_non_square_factor(r):
     want = a
     for axis in range(r):
         want = np.moveaxis(np.tensordot(want, mat, axes=([axis], [0])), -1, axis)
-    got = _all_modes(a, mat)
+    got = _all_modes(a, mat, r)
     assert got.shape == (3,) * r
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -356,11 +356,16 @@ def test_tpe_dot_factored_mismatch_errors():
     fy = _epn_pipeline(42, 5)
     with pytest.raises(InputError):
         tpe_dot_factored(fx, fy)
-    # a core that does not match its own factor, in either argument order
-    bad = HosvdFactors(np.ones((2, 2, 2)), np.eye(4, 3), kappa_for_order(3))
-    for a, b in ((fx, bad), (bad, fx)):
-        with pytest.raises(InputError, match=r"core dims \(2, 2, 2\) do not match factor rank 3"):
-            tpe_dot_factored(a, b)
+    # a core that does not match its own factor, or a factor that is not a matrix, is
+    # refused where the record is made
+    with pytest.raises(InputError, match=r"core dims \(2, 2, 2\) do not match factor rank 3"):
+        HosvdFactors(np.ones((2, 2, 2)), np.eye(4, 3), kappa_for_order(3))
+    packed = HosvdFactors(np.ones((2, 2, 2)), np.eye(4, 2), kappa_for_order(3))
+    with pytest.raises(InputError, match="core dims"):
+        HosvdFactors(hosvd._Packed(packed.entries, (2, 2, 2)), np.eye(4, 3), 1.0)
+    for factor in (np.ones(2), np.ones((4, 2, 1))):
+        with pytest.raises(InputError, match="factor must be a matrix"):
+            HosvdFactors(np.ones((2, 2, 2)), factor, kappa_for_order(3))
 
 
 def _sym_record(rng, r, d, dprime):
@@ -385,15 +390,21 @@ def test_tpe_dot_factored_matches_dense_on_packed_records(r, d, data, seed):
         assert tpe_dot_factored(a, b) == got
 
 
+def _count_ambient_builds(monkeypatch):
+    """Record, in order, each record whose d^r ambient tensor hosvd builds."""
+    calls = []
+    ambient = hosvd._ambient
+    monkeypatch.setattr(hosvd, "_ambient", lambda f: calls.append(f) or ambient(f))
+    return calls
+
+
 def test_gallery_dots_build_each_record_once(monkeypatch):
     query = _epn_pipeline(60, 4)
     gallery = [_epn_pipeline(61 + k, 4) for k in range(8)]
-    calls = []
-    all_modes = hosvd._all_modes
-    monkeypatch.setattr(hosvd, "_all_modes", lambda a, m: calls.append(a.shape) or all_modes(a, m))
+    calls = _count_ambient_builds(monkeypatch)
     first = [tpe_dot_factored(query, e) for e in gallery]
     assert [tpe_dot_factored(query, e) for e in gallery] == first
-    assert len(calls) == 9
+    assert calls == [query] + gallery
 
 
 def test_query_ambient_tensor_built_once(monkeypatch):
@@ -401,15 +412,13 @@ def test_query_ambient_tensor_built_once(monkeypatch):
     from that reconstruction instead of forming the ambient tensor again."""
     query = _epn_pipeline(60, 4)
     gallery = [_epn_pipeline(61 + k, 4) for k in range(8)]
-    calls = []
-    all_modes = hosvd._all_modes
-    monkeypatch.setattr(hosvd, "_all_modes", lambda a, m: calls.append(a) or all_modes(a, m))
+    calls = _count_ambient_builds(monkeypatch)
     rec = reconstruct(query)
     assert reconstruct(query) is rec
     dots = [tpe_dot_factored(query, e) for e in gallery]
-    assert sum(np.array_equal(a, query.core) for a in calls) == 1
+    assert sum(f is query for f in calls) == 1
     assert query._packed is rec._packed  # one packed vector per reconstruction
-    assert len(calls) == 9
+    assert len(calls) == 9 and len({id(f) for f in calls}) == 9
     assert dots == [tpe_dot_factored(e, query) for e in gallery]
 
 
@@ -557,17 +566,19 @@ def test_sym_maps_are_bounded_by_bytes(monkeypatch):
 
 def test_factored_dot_builds_no_tables(monkeypatch):
     """A rank-truncated record's packed dot builds no tables at the ambient shape: it
-    expands the core through the core shape's tables and reads only the ambient packing.
-    hosvd_supersym reads only the core shape's packing, and apply_epn_core no map at all."""
+    expands the core's rows through the core shape's tables and reads only the ambient
+    packing. hosvd_supersym reads the maps of the (r-1)-tuples alone, at d for its first
+    product's rows and at d' for its last product's columns; apply_epn_core reads none."""
     monkeypatch.setattr(tensor, "_maps", OrderedDict())
     x = np.random.default_rng(5).normal(size=(5, 9))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     f = hosvd_supersym(pool(FeatureSet(x), 3))
-    assert f.rank == 5 and list(tensor._maps) == [("_sym_packing", 5, 3)]
+    factored = [("_sym_packing", 9, 2), ("_sym_tables", 9, 2), ("_sym_packing", 5, 2)]
+    assert f.rank == 5 and list(tensor._maps) == factored
     g = apply_epn_core(f, PnSpec("sigme", 4.0))
-    assert list(tensor._maps) == [("_sym_packing", 5, 3)]
+    assert list(tensor._maps) == factored
     tpe_dot_factored(f, f)
-    maps = [("_sym_packing", 5, 3), ("_sym_tables", 5, 3), ("_sym_packing", 9, 3)]
+    maps = factored + [("_sym_tables", 5, 3), ("_sym_tables", 5, 2), ("_sym_packing", 9, 3)]
     assert list(tensor._maps) == maps
     tpe_dot_factored(g, f)
     assert set(tensor._maps) == set(maps)
@@ -736,6 +747,43 @@ def test_packed_records_match_the_dense_references(r, d, data, seed):
     dense = float(np.vdot(*refs))
     assert abs(tpe_dot_factored(fx, fy) - dense) <= 1e-12 * (
         np.linalg.norm(refs[0]) * np.linalg.norm(refs[1]) + 1e-300)
+
+
+def _dense_modes(a, mat):
+    """Every axis of a contracted in turn with mat's first axis, each step one dense GEMM
+    over all d^(r-1) rows: the reference the symmetric end steps are held to."""
+    for _ in range(a.ndim):
+        rest = a.shape[1:]
+        a = (a.reshape(a.shape[0], math.prod(rest)).T @ mat).reshape(rest + (mat.shape[1],))
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(r=st.sampled_from([2, 3, 4]), d=st.integers(1, 9), data=st.data(),
+       weights=st.sampled_from(["ones", "uniform", "zeros"]), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_end_steps_match_the_dense_products(r, d, data, weights, seed):
+    """hosvd_supersym's packed entries equal the dense projection through its own factor,
+    and reconstruct the dense mode products of the record's core, to 1e-13 of the largest
+    entry. Pools of n < d rows give rank-truncated records, zero weights rank-0 ones, and
+    hand-built records take any d' <= d."""
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, d + 2))
+    w = {"ones": np.ones(n), "uniform": rng.uniform(size=n), "zeros": np.zeros(n)}[weights]
+    t = pool(FeatureSet(rng.normal(size=(n, d)), w), r)
+    f = hosvd_supersym(t)
+    assert f.rank <= min(n, d) and (weights != "zeros" or f.rank == 0)
+    projected = _dense_modes(t.data, f.factor).ravel()[_sorted_tuples(f.rank, r)[0]]
+    err = np.max(np.abs(f.entries - projected), initial=0.0)
+    assert err <= 1e-13 * np.max(np.abs(projected), initial=0.0)
+    dprime = data.draw(st.integers(0, d))
+    u = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :dprime]
+    k = kappa_for_order(r)
+    core = _symmetric(rng.uniform(-k, k, size=math.comb(dprime + r - 1, r)), dprime, r)
+    for record in (f, HosvdFactors(core, u, k)):
+        want = _dense_modes(record.core, record.factor.T)
+        got = reconstruct(record).data
+        assert got.shape == want.shape == (d,) * r
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
 
 def test_normalized_record_holds_no_dense_core():

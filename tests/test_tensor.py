@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from hotpool import (
     DenseTensor,
     DomainError,
+    EigenDecomposition,
     FeatureSet,
     HosvdFactors,
     InputError,
@@ -30,6 +31,7 @@ from hotpool import (
     unfold,
     unfolded_factor_vjp,
 )
+from hotpool import cli, hosvd, sketch, spectral, tensor
 
 
 def test_outer_power_basis_vector():
@@ -360,10 +362,11 @@ def _record_arrays():
     fs = FeatureSet(f, np.ones(2), np.zeros(3))
     plan = SketchPlan(3, 2, buckets, signs)
     eig = sym_eig(sq)
-    hf = HosvdFactors(sq, f, 1.0)
+    u = np.asfortranarray(f.T)  # a (3, 2) factor for the 2 x 2 core
+    hf = HosvdFactors(sq, u, 1.0)
     return [
         (fs.vectors, f), (fs.weights, None), (fs.mean, None),
-        (DenseTensor(f).data, f), (hf.core, sq), (hf.factor, f),
+        (DenseTensor(f).data, f), (hf.core, sq), (hf.factor, u),
         (eig.values, None), (eig.vectors, None),
         (plan.buckets, buckets), (plan.signs, signs),
     ]
@@ -409,6 +412,60 @@ def test_adopted_arrays_stay_frozen():
         assert arr.flags.c_contiguous and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flags.writeable = True
+
+
+def test_adoption_never_copies(monkeypatch, tmp_path):
+    """Every array the library hands a record as _Fresh is already C-order float64, so
+    adopting it copies nothing: pool -> hosvd -> epn -> reconstruct -> dot at r = 2, 3, 4,
+    and the CLI's `pool -r 4`."""
+    fresh, owned = [], tensor._owned
+
+    def spy(a, name, dtype=np.float64):
+        if isinstance(a, tensor._Fresh):
+            fresh.append((name, a.array.dtype, a.array.flags.c_contiguous))
+        return owned(a, name, dtype)
+
+    for module in (tensor, hosvd, spectral, sketch):
+        monkeypatch.setattr(module, "_owned", spy)
+    x = np.random.default_rng(16).normal(size=(30, 5))
+    for r in (2, 3, 4):
+        f = hosvd_supersym(pool(FeatureSet(x), r))
+        g = apply_epn_core(f, PnSpec("sigme", 4))
+        hosvd.tpe_dot_factored(g, f)
+        hosvd.tpe_distance(reconstruct(g), reconstruct(f))
+    src = tmp_path / "f.csv"
+    np.savetxt(src, x, delimiter=",")
+    assert cli.main(["pool", str(src), "-r", "4", "--out", str(tmp_path / "t.hotp")]) == 0
+    assert {name for name, *_ in fresh} == {"tensor", "core"}
+    assert all(dtype == np.float64 and c_order for _, dtype, c_order in fresh), fresh
+
+
+def test_order4_pool_peak_memory_below_two_and_a_half_results():
+    """The pair Gram is gathered straight into a C-order result, which the record adopts
+    without a d^4 copy."""
+    fs = FeatureSet(np.random.default_rng(17).normal(size=(500, 24)))
+    pool(fs, 4)
+    tracemalloc.start()
+    try:
+        pool(fs, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 24**4 * 8
+
+
+def test_records_compare_by_identity():
+    """Records hold arrays, so == is identity, as for any object, and `in` works."""
+    def pair(make):
+        return make(), make()
+
+    for a, b in (pair(lambda: FeatureSet(np.ones((2, 2)))),
+                 pair(lambda: DenseTensor(np.ones(3))),
+                 pair(lambda: HosvdFactors(np.eye(2), np.eye(2), 1.0)),
+                 pair(lambda: EigenDecomposition(np.ones(2), np.eye(2))),
+                 pair(lambda: SketchPlan(3, 2, np.array([1, 2, 1]), np.ones(3)))):
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and a not in [b] and len({a, b}) == 2
 
 
 def test_adopted_arrays_are_checked_finite():
