@@ -31,6 +31,7 @@ from .spectral import (
     EigenDecomposition,
     PnSpec,
     _pn_deriv,
+    _pointwise,
     _spsd_values,
     pn_scalar,
     sym_eig,
@@ -121,13 +122,13 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
 
     Near pairs, the diagonal among them, take g' at their midpoint, so ties
     need no eigengap. A pair is near when its gap is at most EIG_GAP_REL
-    times its scale: the larger distance of the two from 0, or for maxexp,
-    which rounds on the scale of 1, from 1 but at most the spectral radius.
+    times its scale: the larger distance of the two from 0, or for a kind with a
+    finite upper end hi (maxexp's 1), which rounds on that scale, from hi but at
+    most the spectral radius. The midpoint and W halve before they add.
     The midpoint's error grows as (gap / scale)^2, the divided difference's
     rounding as scale / gap. Pairs that _check_simple accepts are not near.
     """
-    if spec.kind == "grassmann":
-        raise DomainError("grassmann has no pointwise derivative")
+    hi = _pointwise(spec).domain[1]
     eig = sym_eig(x)
     upstream = _checked_upstream(upstream, eig.vectors.shape)
     vals = eig.values
@@ -135,10 +136,10 @@ def epn_matrix_vjp(x, spec: PnSpec, upstream) -> np.ndarray:
         vals = _spsd_values(vals, spec.kind)
     g = pn_scalar(vals, spec)
     loewner = (g[:, None] - g[None, :]) * _gap_inverse(eig.values)
-    scale = np.minimum(np.abs(1.0 - vals), vals[0]) if spec.kind == "maxexp" else np.abs(vals)
+    scale = np.minimum(np.abs(hi - vals), vals[0]) if hi < np.inf else np.abs(vals)
     near = np.abs(vals[:, None] - vals) <= EIG_GAP_REL * np.maximum(scale[:, None], scale)
-    loewner[near] = _pn_deriv(0.5 * (vals[:, None] + vals)[near], spec)
-    w = 0.5 * (upstream + upstream.T)
+    loewner[near] = _pn_deriv((0.5 * vals[:, None] + 0.5 * vals)[near], spec)
+    w = 0.5 * upstream + 0.5 * upstream.T
     u = eig.vectors
     return u @ (loewner * (u.T @ w @ u)) @ u.T
 

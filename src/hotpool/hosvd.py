@@ -13,9 +13,9 @@ centering, a core entry whose index values occur with multiplicities
 m_1, ..., m_k is bounded by prod_k (m_k/r)^(m_k/2), and the bound is
 attained. That is kappa = (1/sqrt(r))^r only when all indices differ: it
 is 2/(3 sqrt(3)) for (i, i, j) at r=3 and 1 on the diagonal. The single
-constant kappa calibrates the signed saturation maps detector_likelihood
-and apply_epn_core, so repeated-index entries can exceed it even for
-unit-norm inputs.
+constant kappa scales the signed map sgn(c) g(min(|c|/kappa, hi)) of apply_epn_core
+(every pointwise kind) and detector_likelihood (maxexp), so repeated-index entries can
+exceed it even for unit-norm inputs: maxexp, whose domain ends at 1, refuses such a core.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, _check_int, _check_real
-from .spectral import _OPS, EigenDecomposition, PnSpec, _rank_cutoff, sym_eig
+from .spectral import EigenDecomposition, PnSpec, _pointwise, _rank_cutoff, sym_eig
 from .tensor import (MAX_ORDER, DenseTensor, FeatureSet, _Fresh, _owned, _pack_rows,
                      _packed_vector, _sym_expand, _sym_packing, _sym_rows, check_supersymmetric,
                      inner)
@@ -206,7 +206,7 @@ def core_coefficient(features: FeatureSet, u, v, w) -> float:
 
 
 def detector_likelihood(lam: float, kappa: float, n: float) -> float:
-    """Signed saturation sgn(lam) * (1 - (1 - |lam|/kappa)^n).
+    """Signed saturation sgn(lam) * (1 - (1 - |lam|/kappa)^n), apply_epn_core's maxexp map.
 
     |lam| is clamped to kappa; an excess beyond KAPPA_EXCESS_TOL triggers a
     warning because kappa bounds only coefficients along distinct orthonormal
@@ -215,53 +215,44 @@ def detector_likelihood(lam: float, kappa: float, n: float) -> float:
     kappa = _check_real(kappa, "kappa", 0.0)
     n = _check_real(n, "exponent", 1.0, ends="[)")
     lam = _check_real(lam, "coefficient")
-    mag = abs(lam)
-    if mag > kappa:
-        if mag - kappa > KAPPA_EXCESS_TOL:
-            warnings.warn(
-                f"coefficient magnitude {mag:.6g} exceeds kappa {kappa:.6g}; clamped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        mag = kappa
-    return float(np.sign(lam) * _OPS["maxexp"].g(mag / kappa, n))
+    if abs(lam) - kappa > KAPPA_EXCESS_TOL:
+        warnings.warn(f"coefficient magnitude {abs(lam):.6g} exceeds kappa {kappa:.6g}; clamped",
+                      RuntimeWarning, stacklevel=2)
+    return float(_signed_map(np.clip(lam, -kappa, kappa), kappa, PnSpec("maxexp", n)))
 
 
 def apply_epn_core(f: HosvdFactors, spec: PnSpec) -> HosvdFactors:
-    """Normalize core coefficients with an odd (sign-preserving) map.
+    """Normalize core coefficients with the signed map sgn(c) * g(min(|c|/kappa, hi)).
 
-    maxexp uses the signed saturation sgn(x)*(1-(1-|x|/kappa)^eta) and
-    requires |coefficients| <= kappa up to KAPPA_EXCESS_TOL. sigme applies
-    tanh(eta' x / (2 kappa)) and needs no clamping. Even maps would erase
-    coefficient signs, so other kinds are rejected.
+    g is the kind's map and hi the upper end of its domain, from spectral._OPS, so every
+    pointwise kind applies and keeps each sign: maxexp is the signed saturation, sigme
+    tanh(eta' c / (2 kappa)), gamma the signed power normalization; grassmann is refused.
+    maxexp, bounded at 1, requires |coefficients| <= kappa up to KAPPA_EXCESS_TOL.
 
     The check and the map see only the record's m = binom(d'+r-1, r) sorted-tuple
     entries, and the new record holds the mapped entries as they are.
     """
-    if spec.kind not in ("maxexp", "sigme"):
-        raise DomainError(
-            f"core normalization needs an odd operator (maxexp or sigme), got {spec.kind}"
-        )
-    out = _odd_map(f.entries, f.kappa, spec)
+    out = _signed_map(f.entries, f.kappa, spec)
     return HosvdFactors(_Packed(out, f.core_shape), f.factor, f.kappa)
 
 
-def _odd_map(coef: np.ndarray, kappa: float, spec: PnSpec) -> np.ndarray:
-    """apply_epn_core's map of a coefficient vector, as a new array."""
-    g = _OPS[spec.kind].g
-    x = coef / kappa
-    if spec.kind == "sigme":
-        return g(x, spec.param)
-    excess = float(np.max(np.abs(coef))) - kappa if coef.size else 0.0
-    if excess > KAPPA_EXCESS_TOL:
-        raise DomainError(
-            f"core coefficient exceeds kappa by {excess:.3e}; kappa bounds only "
-            "all-distinct-index entries, and a repeated-index entry can exceed it "
-            "even for unit-norm inputs (use sigme)"
-        )
-    np.clip(x, -1.0, 1.0, out=x)
-    sign = np.sign(x)
-    return sign * g(np.abs(x, out=x), spec.param)
+def _signed_map(coef: np.ndarray, kappa: float, spec: PnSpec) -> np.ndarray:
+    """copysign(g(min(|c|/kappa, hi)), c) for each entry c of an array or numpy scalar.
+
+    The sign bit is kept, a -0.0's included. A kind with a finite upper end hi refuses
+    max |c| - kappa above KAPPA_EXCESS_TOL and clamps the rest.
+    """
+    op = _pointwise(spec)
+    hi = op.domain[1]
+    x = np.abs(coef) / kappa
+    if hi < math.inf:
+        excess = float(np.max(np.abs(coef))) - kappa if coef.size else 0.0
+        if excess > KAPPA_EXCESS_TOL:
+            raise DomainError(f"core coefficient exceeds kappa by {excess:.3e}; kappa bounds "
+                              "only all-distinct-index entries, and a repeated-index entry can "
+                              "exceed it even for unit-norm inputs (use sigme)")
+        x = np.minimum(x, hi)
+    return np.copysign(op.g(x, spec.param), coef)
 
 
 def tpe_dot(gx: DenseTensor, gy: DenseTensor) -> float:

@@ -13,7 +13,8 @@ matrix X = U diag(lambda) U^T:
 The private table _OPS is the one definition of this family: each kind's
 domain, parameter name and range, map g(x, p) and derivative g'(x, p). g
 and g' check nothing, so callers with validated input call them directly;
-pn_scalar and _pn_deriv are the checked entry points.
+pn_scalar and _pn_deriv are the checked entry points, and _pointwise the one
+refusal of grassmann: this is the only module that branches on a kind's name.
 
 The matrix map is epn_matrix(X) = U diag(g(lambda)) U^T.
 """
@@ -151,16 +152,22 @@ def sym_eig(x) -> EigenDecomposition:
     return eig
 
 
+def _pointwise(spec: PnSpec) -> _Op:
+    """The _OPS entry of spec's kind, or DomainError for grassmann, which has none."""
+    op = _OPS.get(spec.kind)
+    if op is None:
+        raise DomainError("grassmann is a subspace projector, not a pointwise map")
+    return op
+
+
 def pn_scalar(lam, spec: PnSpec):
     """Apply the pointwise map to a scalar or array of eigenvalues.
 
     The values are checked against the kind's domain in _OPS; an excess of
     at most 1e-12 above a finite upper end is clamped before g is applied.
     """
-    if spec.kind == "grassmann":
-        raise DomainError("grassmann is a subspace projector, not a pointwise map")
+    op = _pointwise(spec)
     arr = _check_finite(np.asarray(lam, dtype=np.float64), "eigenvalues", DomainError)
-    op = _OPS[spec.kind]
     lo, hi = op.domain
     if np.any(arr < lo):
         raise DomainError(f"{spec.kind} requires nonnegative eigenvalues")
@@ -178,9 +185,7 @@ def _pn_deriv(values: np.ndarray, spec: PnSpec) -> np.ndarray:
     The half-line kinds need a strictly positive spectrum: gamma's
     p x^(p-1) is singular at zero and hdp's (t/x^2) e^(-t/x) undefined.
     """
-    op = _OPS.get(spec.kind)
-    if op is None:
-        raise DomainError(f"{spec.kind} has no pointwise derivative")
+    op = _pointwise(spec)
     if op.domain == _HALF_LINE and np.any(values <= 0.0):
         raise DomainError(f"{spec.kind} derivative needs a strictly positive spectrum")
     return op.dg(np.minimum(values, op.domain[1]), spec.param)
@@ -211,6 +216,13 @@ def _rank_cutoff(vals: np.ndarray) -> float:
     return vals.shape[0] * np.finfo(np.float64).eps * max(float(vals[0]), 0.0)
 
 
+def _eig_compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """U diag(vals) U^T, halved before it is symmetrized, so a finite result cannot overflow."""
+    out = (vecs * vals) @ vecs.T
+    out *= 0.5
+    return out + out.T
+
+
 def epn_matrix(x, spec: PnSpec, normalize: bool = False) -> np.ndarray:
     """Eigenvalue power normalization of a symmetric matrix.
 
@@ -225,14 +237,12 @@ def epn_matrix(x, spec: PnSpec, normalize: bool = False) -> np.ndarray:
         vals = _spsd_values(vals, spec.kind)
     if normalize:
         vals = normalize_spectrum(vals)
-    g = pn_scalar(vals, spec)
-    out = (eig.vectors * g) @ eig.vectors.T
-    return 0.5 * (out + out.T)
+    return _eig_compose(eig.vectors, pn_scalar(vals, spec))
 
 
 def grassmann_map(x, q: int) -> np.ndarray:
     """Orthogonal projector onto the span of the top-q eigenvectors."""
-    if not isinstance(q, (int, np.integer)) or q < 1:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
         raise DomainError(f"subspace rank must be an integer >= 1, got {q}")
     eig = sym_eig(x)
     vals = _spsd_values(eig.values, "grassmann")
@@ -267,9 +277,7 @@ def precision_laplacian(x, allow_pseudo: bool = False) -> np.ndarray:
         raise DomainError(
             "matrix is rank deficient; pass allow_pseudo=True for a pseudo-inverse"
         )
-    inv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, vals))
-    out = (eig.vectors * inv) @ eig.vectors.T
-    return 0.5 * (out + out.T)
+    return _eig_compose(eig.vectors, np.where(small, 0.0, 1.0 / np.where(small, 1.0, vals)))
 
 
 def heat_kernel(q, t: float) -> np.ndarray:
@@ -277,5 +285,4 @@ def heat_kernel(q, t: float) -> np.ndarray:
     t = _check_real(t, "diffusion time", 0.0)
     eig = sym_eig(q)
     vals = _spsd_values(eig.values, "heat_kernel")
-    out = (eig.vectors * np.exp(-t * vals)) @ eig.vectors.T
-    return 0.5 * (out + out.T)
+    return _eig_compose(eig.vectors, np.exp(-t * vals))

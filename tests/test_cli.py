@@ -621,11 +621,33 @@ def test_epn_order4_matches_library(tmp_path, capsys):
     assert main(["epn", str(src), "--spec", "sigme:6", "--out", str(out)]) == 0
     write_tensor(str(want), reconstruct(apply_epn_core(hosvd_supersym(t), PnSpec("sigme", 6))))
     assert out.read_bytes() == want.read_bytes()
-    # the core normalization refuses a non-odd operator at order 4 as at order 3
-    assert main(["epn", str(src), "--spec", "gamma:0.5", "--out", str(out)]) == 3
+    # every pointwise kind normalizes the core, gamma through the signed power map
+    assert main(["epn", str(src), "--spec", "gamma:0.5", "--out", str(out)]) == 0
+    write_tensor(str(want), reconstruct(apply_epn_core(hosvd_supersym(t), PnSpec("gamma", 0.5))))
+    assert out.read_bytes() == want.read_bytes()
     write_tensor(str(src), DenseTensor(np.array([1.0, 2.0])))
     assert main(["epn", str(src), "--spec", "sigme:6", "--out", str(out)]) == 2
     assert "hosvd needs order >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("kind, param", [("gamma", 0.5), ("asinhe", 0.9), ("hdp", 0.2)])
+def test_epn_maps_the_even_and_unbounded_kinds_at_orders_3_and_4(tmp_path, r, kind, param):
+    t = pool(FeatureSet(np.random.default_rng(17).normal(size=(40, 5))), r)
+    src, out, want = tmp_path / "t.bin", tmp_path / "y.bin", tmp_path / "want.bin"
+    write_tensor(str(src), t)
+    assert main(["epn", str(src), "--spec", f"{kind}:{param}", "--out", str(out)]) == 0
+    write_tensor(str(want), reconstruct(apply_epn_core(hosvd_supersym(t), PnSpec(kind, param))))
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_epn_refuses_grassmann_on_a_core(tmp_path, capsys):
+    src, out = tmp_path / "t.bin", tmp_path / "y.bin"
+    write_tensor(str(src), pool(FeatureSet(np.random.default_rng(18).normal(size=(40, 5))), 3))
+    assert main(["epn", str(src), "--spec", "grassmann:2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: grassmann is a subspace projector, not a pointwise map\n")
+    assert not out.exists()
 
 
 class _Collision(DegenerateSpectrumError):

@@ -32,6 +32,7 @@ from hotpool import (
     eta_of_t_exact,
     finite_diff_oracle,
     gamma_of_t,
+    grassmann_map,
     heat_kernel,
     kappa_for_order,
     make_plan,
@@ -198,6 +199,17 @@ _INT_SITES = [
     (lambda: plan_from_json(_plan_text(8, "4", 1)),
      "output dim must be an integer >= 1, got '4'"),
 ]
+
+
+# grassmann's subspace rank is an operator parameter with its own DomainError
+_RANK_SITES = [0, -1, 1.5, 2.0, True, np.True_, "2", None]
+
+
+@pytest.mark.parametrize("q", _RANK_SITES, ids=repr)
+def test_subspace_rank_messages(q):
+    with pytest.raises(DomainError) as exc:
+        grassmann_map(np.diag([3.0, 2.0, 1.0]), q)
+    assert str(exc.value) == f"subspace rank must be an integer >= 1, got {q}"
 
 
 @pytest.mark.parametrize("call, message", _INT_SITES, ids=[m for _, m in _INT_SITES])

@@ -38,6 +38,7 @@ from hotpool import (
 import hotpool
 from hotpool import hosvd, tensor
 from hotpool.hosvd import _all_modes
+from hotpool.spectral import _OPS
 from hotpool.tensor import _sym_packing, _sym_tables
 
 
@@ -262,11 +263,18 @@ def test_apply_epn_core_smooth_vs_saturating():
     assert_allclose(diff, 0.1237935033, atol=1e-6)
 
 
-def test_apply_epn_core_rejects_even_kinds():
-    f = HosvdFactors(np.zeros((2, 2, 2)), np.eye(3, 2), kappa_for_order(3))
-    for kind, param in [("gamma", 0.5), ("hdp", 0.2), ("grassmann", 1)]:
-        with pytest.raises(DomainError, match="odd"):
-            apply_epn_core(f, PnSpec(kind, param))
+def test_apply_epn_core_maps_every_pointwise_kind():
+    """Even kinds keep each sign too; grassmann, not a pointwise map, is refused."""
+    k = kappa_for_order(3)
+    f = HosvdFactors(_symmetric([-k / 4, 0.0, -0.0, 4 * k], 2, 3), np.eye(3, 2), k)
+    gamma = apply_epn_core(f, PnSpec("gamma", 0.5)).entries
+    assert gamma.tolist() == [-0.5, 0.0, -0.0, 2.0] and np.signbit(gamma[2])
+    hdp = apply_epn_core(f, PnSpec("hdp", 0.2)).entries
+    assert_allclose(hdp, [-math.exp(-0.8), 0.0, -0.0, math.exp(-0.05)], rtol=1e-15)
+    assert np.signbit(hdp).tolist() == [True, False, True, False]
+    with pytest.raises(DomainError) as exc:
+        apply_epn_core(f, PnSpec("grassmann", 1))
+    assert str(exc.value) == "grassmann is a subspace projector, not a pointwise map"
 
 
 def test_apply_epn_core_kappa_excess():
@@ -869,3 +877,50 @@ def test_detector_likelihood_matches_reference_exactly():
             for lam in np.linspace(-kappa, kappa, 41):
                 ref = float(np.sign(lam) * (1.0 - (1.0 - abs(lam) / kappa) ** n))
                 assert detector_likelihood(lam, kappa, n) == ref
+
+
+def _odd_map_before(coef, kappa, spec):
+    """apply_epn_core's map before every pointwise kind took the signed map: tanh for sigme,
+    the clipped signed saturation for maxexp, verbatim."""
+    g = _OPS[spec.kind].g
+    x = coef / kappa
+    if spec.kind == "sigme":
+        return g(x, spec.param)
+    np.clip(x, -1.0, 1.0, out=x)
+    sign = np.sign(x)
+    return sign * g(np.abs(x, out=x), spec.param)
+
+
+# a parameter range inside each pointwise kind's range in _OPS
+_PARAMS = {"gamma": (0.05, 1.0), "maxexp": (1.0, 64.0), "asinhe": (0.05, 1.0),
+           "sigme": (1.0, 64.0), "hdp": (0.01, 5.0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_PARAMS)), r=st.sampled_from([2, 3, 4]),
+       d=st.integers(1, 5), data=st.data())
+def test_core_map_is_the_signed_map_of_every_pointwise_kind(kind, r, d, data):
+    """Each sorted-tuple entry c of a core, on rank-0 and rank-truncated records, maps to
+    sgn(c) g(min(|c|/kappa, hi)) with g and hi from _OPS, and keeps its sign bit, a -0.0's
+    included. maxexp and sigme give the old odd map's bytes, except that maxexp no longer
+    takes sgn(-0.0) = +0.0."""
+    assert set(_PARAMS) == set(_OPS)
+    op, k = _OPS[kind], kappa_for_order(r)
+    hi = op.domain[1]
+    top = k if hi < math.inf else 4 * k  # maxexp refuses |c| beyond kappa
+    dprime = data.draw(st.integers(0, d), label="rank")
+    m = math.comb(dprime + r - 1, r)
+    entry = st.one_of(st.floats(-top, top),
+                      st.sampled_from([0.0, -0.0, k, -k, k + 1e-12, -k - 1e-12, 5e-324]))
+    entries = np.array(data.draw(st.lists(entry, min_size=m, max_size=m), label="entries"),
+                       dtype=np.float64)
+    spec = PnSpec(kind, data.draw(st.floats(*_PARAMS[kind]), label="param"))
+    f = HosvdFactors(hosvd._Packed(entries, (dprime,) * r), np.eye(d, dprime), k)
+    got = apply_epn_core(f, spec).entries
+    want = np.sign(entries) * op.g(np.minimum(np.abs(entries) / k, hi), spec.param)
+    assert got.shape == (m,) and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(entries))
+    if kind in ("maxexp", "sigme"):
+        old = _odd_map_before(entries, k, spec)
+        keep = ~((entries == 0.0) & np.signbit(entries)) if kind == "maxexp" else slice(None)
+        assert got[keep].tobytes() == old[keep].tobytes()

@@ -1,4 +1,7 @@
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hotpool import (
     precision_laplacian,
     sym_eig,
 )
+import hotpool
 from hotpool import spectral
 from hotpool.spectral import _OPS, GRASSMANN_SEP_TOL, KINDS, SPSD_KINDS, _pn_deriv
 
@@ -446,8 +450,9 @@ def test_pn_deriv_rejections():
     for kind, param in [("gamma", 0.5), ("hdp", 0.2)]:
         with pytest.raises(DomainError, match=f"{kind} derivative needs a strictly positive"):
             _pn_deriv(np.array([0.5, 0.0]), PnSpec(kind, param))
-    with pytest.raises(DomainError, match="grassmann has no pointwise derivative"):
+    with pytest.raises(DomainError) as exc:
         _pn_deriv(np.array([0.5]), PnSpec("grassmann", 1))
+    assert str(exc.value) == "grassmann is a subspace projector, not a pointwise map"
 
 
 # (x range, parameter range) inside each kind's domain
@@ -493,3 +498,60 @@ def test_hdp_deriv_at_tiny_time_constant():
     got = _pn_deriv(np.array([1e-200, 3e-200]), PnSpec("hdp", 1e-200))
     assert_allclose(got, [math.exp(-1.0) * 1e200, math.exp(-1.0 / 3.0) / 9.0 * 1e200],
                     rtol=1e-15)
+
+
+def test_maps_halve_before_they_add():
+    """Symmetrizing U diag(v) U^T as out + out^T overflowed where the result is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = precision_laplacian(np.diag([6e-309, 1e-300]))
+        big = epn_matrix(np.diag([1.7e308, 1.0]), PnSpec("gamma", 1.0))
+    assert np.isfinite(inv).all() and np.isfinite(big).all()
+    assert_allclose(np.diag(inv), [1.0 / 6e-309, 1e300], rtol=1e-15)
+    assert big[0, 0] == 1.7e308 and big[1, 1] == 1.0 and big[0, 1] == big[1, 0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_halving_first_leaves_spd_outputs_unchanged(d, seed, scale):
+    """On SPD inputs of moderate scale 0.5 out + 0.5 out^T is 0.5 (out + out^T) bit for bit."""
+    x = scale * _spd(seed, d)
+    eig = sym_eig(x)
+
+    def before(vals):
+        out = (eig.vectors * vals) @ eig.vectors.T
+        return 0.5 * (out + out.T)
+
+    for kind, param in [("gamma", 0.5), ("maxexp", 4.0), ("asinhe", 1.0), ("sigme", 4.0),
+                        ("hdp", 0.2)]:
+        got = epn_matrix(x, PnSpec(kind, param), normalize=True)
+        want = before(pn_scalar(normalize_spectrum(eig.values), PnSpec(kind, param)))
+        assert got.tobytes() == want.tobytes()
+    assert precision_laplacian(x).tobytes() == before(1.0 / eig.values).tobytes()
+    assert heat_kernel(x, 0.3).tobytes() == before(np.exp(-0.3 * eig.values)).tobytes()
+
+
+def _compares_kind_with_a_literal(node) -> bool:
+    """A comparison of some .kind attribute with a string or a tuple, list or set of them."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+
+    def literal(n):
+        if isinstance(n, (ast.Tuple, ast.List, ast.Set)):
+            return all(literal(e) for e in n.elts)
+        return isinstance(n, ast.Constant) and isinstance(n.value, str)
+
+    return (any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in operands)
+            and any(literal(n) for n in operands))
+
+
+def test_only_spectral_branches_on_a_kind_name():
+    """Every other module reads a kind's map, domain and refusal from spectral's table."""
+    found = set()
+    for path in sorted(Path(hotpool.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _compares_kind_with_a_literal(node):
+                found.add(path.stem)
+    assert found == {"spectral"}
