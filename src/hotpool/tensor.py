@@ -49,8 +49,8 @@ def _owned(a, name: str, dtype=np.float64):
 class FeatureSet:
     """N feature vectors with per-vector weights and a shared mean.
 
-    vectors has shape (N, d). weights defaults to all ones, mean to zeros;
-    all three are checked finite, copied and marked read-only.
+    vectors has shape (N, d). weights defaults to all ones, mean to zeros; all three are
+    checked finite and marked read-only, given arrays copied and the built defaults adopted.
     """
 
     vectors: np.ndarray
@@ -62,12 +62,12 @@ class FeatureSet:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise InputError("vectors must be a nonempty (N, d) array")
         n, d = v.shape
-        w = _owned(np.ones(n) if self.weights is None else self.weights, "weights")
+        w = _owned(_Fresh(np.ones(n)) if self.weights is None else self.weights, "weights")
         if w.shape != (n,):
             raise InputError(f"weights must have shape ({n},), got {w.shape}")
         if np.any(w < 0):
             raise InputError("weights must be finite and nonnegative")
-        m = _owned(np.zeros(d) if self.mean is None else self.mean, "mean")
+        m = _owned(_Fresh(np.zeros(d)) if self.mean is None else self.mean, "mean")
         if m.shape != (d,):
             raise InputError(f"mean must have shape ({d},), got {m.shape}")
         for name, arr in (("vectors", v), ("weights", w), ("mean", m)):
@@ -299,13 +299,18 @@ def pool(features: FeatureSet, r: int) -> DenseTensor:
     the packed pair products w^2 phi_i phi_j, divided by N, through the pair table
     _sym_tables(d, 2)[0] into a C-order array.
     For r >= 3 rows are summed in blocks of d^2, so no temporary outsizes the result.
+    When every mean entry is +0.0 and every weight 1, phi - mu and w*phi are phi bit for bit,
+    so the vectors are read in place: r=2 is one phi^T phi, with no (N, d) temporary.
     """
     _check_int(r, "order", 2, MAX_ORDER)
-    phi = features.vectors - features.mean
-    w = features.weights
+    w, mean = features.weights, features.mean
+    # all bits zero: a -0.0 entry would turn a -0.0 feature into +0.0, so it is subtracted
+    plain = not mean.view(np.uint64).any() and bool(np.all(w == 1.0))
+    phi = features.vectors if plain else features.vectors - mean
     n, d = phi.shape
     if r == 2:
-        phi *= w[:, None]  # phi is a fresh array, so q needs no second buffer
+        if not plain:
+            phi *= w[:, None]  # phi is a fresh array, so q needs no second buffer
         data = phi.T @ phi
     elif r == 3:
         data = np.empty((d, d, d))

@@ -193,6 +193,91 @@ def test_pool_peak_memory_within_result_plus_input():
     assert peak <= 2 * (t.data.nbytes + fs.vectors.nbytes)
 
 
+def _pool_peak(fs, r):
+    """tracemalloc peak of a second pool(fs, r), after the first has built its maps."""
+    pool(fs, r)
+    tracemalloc.start()
+    try:
+        pool(fs, r)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("r,n,d", [(2, 2000, 128), (3, 8000, 8), (4, 8000, 8)])
+def test_only_identity_mean_and_weights_skip_the_centred_copy(r, n, d):
+    """The default mean and weights, or a mean of +0.0 entries and unit weights, are read in
+    place at every order (at r = 2 one phi^T phi on the stored vectors); a -0.0 mean entry or
+    a weight one ulp above 1 makes the (N, d) centred copy."""
+    x = np.random.default_rng([32, r]).normal(size=(n, d))
+    ulp = np.ones(n)
+    ulp[n // 2] = np.nextafter(1.0, 2.0)
+    assert _pool_peak(FeatureSet(x), r) < n * d * 8 / 2
+    assert _pool_peak(FeatureSet(x, weights=np.ones(n), mean=np.zeros(d)), r) < n * d * 8 / 2
+    assert _pool_peak(FeatureSet(x, mean=np.full(d, -0.0)), r) >= n * d * 8
+    assert _pool_peak(FeatureSet(x, weights=ulp), r) >= n * d * 8
+
+
+def _centred_weighted_pool(features, r):
+    """pool's body before it read default features in place, verbatim: every call centres
+    and weights a fresh copy of the vectors."""
+    phi = features.vectors - features.mean
+    w = features.weights
+    n, d = phi.shape
+    if r == 2:
+        phi *= w[:, None]  # phi is a fresh array, so q needs no second buffer
+        data = phi.T @ phi
+    elif r == 3:
+        data = np.empty((d, d, d))
+        for s in range(0, n, d * d):
+            x, w3 = phi[s : s + d * d], w[s : s + d * d] ** 3
+            xt = np.ascontiguousarray(x.T)  # so no GEMM below takes a transposed operand
+            for i in range(d):
+                part = (xt[i:] * (xt[i] * w3)) @ x
+                data[i, i:] = part if s == 0 else data[i, i:] + part
+        for i in range(d):
+            data[i + 1 :, i] = data[i, i + 1 :]
+    else:
+        i, j = divmod(tensor._sym_packing(d, 2)[0], d)
+        for s in range(0, n, d * d):
+            xt = np.ascontiguousarray(phi[s : s + d * d].T)
+            p = xt[i]
+            p *= w[s : s + d * d] ** 2
+            p *= xt[j]
+            gram = p @ p.T if s == 0 else gram + p @ p.T
+        del p, xt  # before the d^4 gather
+        gram /= n  # m_2^2 divisions before the gather, not d^4 after it
+        pair = tensor._sym_tables(d, 2)[0]
+        # take along the last axis keeps the gather C-order, so the record adopts it uncopied
+        return np.take(gram[pair], pair, axis=2)
+    data /= n
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]),
+       st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d * d + 3))),
+       st.integers(0, 2**32 - 1))
+@example(3, (2, 7), 0)  # N = d^2 + 3 at r = 3,
+@example(4, (3, 12), 1)  # and past one d^2 row block at r = 4
+def test_pool_is_bitwise_the_centred_weighted_formula(r, dn, seed):
+    """Default features, read in place, pool to the bits of the centring and weighting
+    formula; so do a -0.0 mean and a weight one ulp above 1, which take that pass. Rows hold
+    zeros of both signs, whole zero rows included, and N runs past the d^2 row block."""
+    d, n = dn
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    x[rng.random((n, d)) < 0.3] = 0.0
+    x[rng.random(n) < 0.2] = 0.0
+    x = np.where(x == 0.0, np.copysign(0.0, rng.normal(size=(n, d))), x)
+    ulp = np.ones(n)
+    ulp[rng.integers(n)] = np.nextafter(1.0, 2.0)
+    for fs in (FeatureSet(x), FeatureSet(x, mean=np.full(d, -0.0)), FeatureSet(x, weights=ulp)):
+        got = pool(fs, r).data
+        want = _centred_weighted_pool(fs, r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_check_supersymmetric_rejects_asymmetric():
     a = np.zeros((2, 2, 2))
     a[0, 1, 1] = 1.0
@@ -436,7 +521,7 @@ def test_adoption_never_copies(monkeypatch, tmp_path):
     src = tmp_path / "f.csv"
     np.savetxt(src, x, delimiter=",")
     assert cli.main(["pool", str(src), "-r", "4", "--out", str(tmp_path / "t.hotp")]) == 0
-    assert {name for name, *_ in fresh} == {"tensor", "core"}
+    assert {name for name, *_ in fresh} == {"tensor", "core", "weights", "mean"}
     assert all(dtype == np.float64 and c_order for _, dtype, c_order in fresh), fresh
 
 
@@ -444,14 +529,7 @@ def test_order4_pool_peak_memory_below_two_and_a_half_results():
     """The pair Gram is gathered straight into a C-order result, which the record adopts
     without a d^4 copy."""
     fs = FeatureSet(np.random.default_rng(17).normal(size=(500, 24)))
-    pool(fs, 4)
-    tracemalloc.start()
-    try:
-        pool(fs, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * 24**4 * 8
+    assert _pool_peak(fs, 4) < 2.5 * 24**4 * 8
 
 
 def test_records_compare_by_identity():
